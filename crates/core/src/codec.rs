@@ -1,13 +1,23 @@
-//! The binary wire codec: length-prefixed frames, tagged encodings,
-//! and bit-packed full-state delivery.
+//! The binary wire codec: length-prefixed frames, the binary record
+//! primitives, and bit-packed full-state delivery.
 //!
-//! The line codec ([`proto`]) is the canonical,
-//! human-readable form — it remains the debug/compat path and the
-//! on-disk store format. This module adds the second wire format a
-//! session can negotiate (`hello codec=binary`): every
-//! [`ClientFrame`]/[`ServerFrame`] as a tagged binary record inside a
-//! `u32`-length-prefixed frame, capped at [`MAX_FRAME`] so a corrupt
-//! prefix cannot make a session allocate unboundedly.
+//! The line codec is the canonical, human-readable form — it remains
+//! the debug/compat path and the on-disk store format. This module adds
+//! the second wire format a session can negotiate (`hello
+//! codec=binary`): every [`ClientFrame`]/[`ServerFrame`] as a tagged
+//! binary record inside a `u32`-length-prefixed frame, capped at
+//! [`MAX_FRAME`] so a corrupt prefix cannot make a session allocate
+//! unboundedly.
+//!
+//! The records are not written by hand here: the one schema in
+//! [`proto`](crate::proto) declares each variant's tag and typed
+//! fields, and every field type writes its record through this
+//! module's `Enc`/`Dec` primitives (little-endian `u64`/`u32`,
+//! IEEE-754 bit-pattern floats, `u32`-length-prefixed strings and
+//! bytes, flag-byte options). [`encode_client`] / [`decode_server`]
+//! and friends just walk that schema; decoding rejects trailing bytes
+//! and every out-of-range tag, flag or spin. [`FrameBuffer`] cuts a
+//! session's byte stream into frames under either codec.
 //!
 //! The payload that motivates the codec is [`StateBlob`]: a full
 //! configuration packed at the width its domain needs, reusing the
@@ -16,7 +26,7 @@
 //! `q > 256` falls back to full `u32` lanes. A 256×256 torus state is
 //! thus 8 KB (Ising) to 64 KB (colorings) instead of 256 KB. Blobs ride
 //! in `sample` job results and `stream` job events
-//! ([`JobEvent::State`]); on the text
+//! ([`JobEvent::State`](crate::service::JobEvent::State)); on the text
 //! codec they fall back to a base64url token so text sessions stay
 //! fully functional.
 //!
@@ -24,9 +34,7 @@
 //! `tests/codec_identity.rs` the same way remote-vs-local identity is.
 
 use crate::engine::{Packing, StateSlab};
-use crate::proto::{self, ClientFrame, ServerFrame};
-use crate::service::JobEvent;
-use crate::spec::{CommSummary, JobOutput, JobResult};
+use crate::proto::{ClientFrame, Field, ServerFrame};
 use lsl_mrf::Spin;
 use std::fmt;
 use std::io::{self, Write};
@@ -82,7 +90,7 @@ fn malformed(m: impl Into<String>) -> CodecError {
 /// and may switch once via the `hello` handshake.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Codec {
-    /// The line-delimited text protocol ([`proto`]) —
+    /// The line-delimited text protocol ([`proto`](crate::proto)) —
     /// canonical, debuggable, and the store format.
     #[default]
     Text,
@@ -282,12 +290,9 @@ impl FromStr for StateBlob {
             (Some(n), Some(q), Some(b)) => (n, q, b),
             _ => return Err(malformed(format!("state blob token {s:?}"))),
         };
-        let n: usize = n
-            .parse()
-            .map_err(|_| malformed(format!("blob vertex count {n:?}")))?;
-        let q: usize = q
-            .parse()
-            .map_err(|_| malformed(format!("blob domain size {q:?}")))?;
+        let count = |s: &str| <usize as Field>::take_text(s).ok();
+        let n = count(n).ok_or_else(|| malformed(format!("blob vertex count {n:?}")))?;
+        let q = count(q).ok_or_else(|| malformed(format!("blob domain size {q:?}")))?;
         StateBlob::from_parts(n, q, b64_decode(b64)?)
     }
 }
@@ -351,6 +356,12 @@ fn b64_decode(s: &str) -> Result<Vec<u8>, CodecError> {
         for &c in chunk {
             v = (v << 6) | b64_val(c)?;
         }
+        // Bits past the last whole byte must be zero, so each byte
+        // string has exactly one token.
+        let spare = 6 * chunk.len() - 8 * (chunk.len() - 1);
+        if v & ((1 << spare) - 1) != 0 {
+            return Err(malformed("nonzero spare bits in base64url"));
+        }
         v <<= 6 * (4 - chunk.len());
         out.push((v >> 16) as u8);
         if chunk.len() >= 3 {
@@ -367,578 +378,165 @@ fn b64_decode(s: &str) -> Result<Vec<u8>, CodecError> {
 // Binary primitives
 // ---------------------------------------------------------------------
 
-struct Enc(Vec<u8>);
+/// The binary record writer the [`proto`](crate::proto) field types
+/// write into.
+pub(crate) struct Enc(Vec<u8>);
 
 impl Enc {
-    fn new() -> Self {
-        Enc(Vec::new())
-    }
-
-    fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
 
-    fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.u32(u32::try_from(v.len()).expect("payload under 4 GiB"));
         self.0.extend_from_slice(v);
     }
 
-    fn str(&mut self, v: &str) {
+    pub(crate) fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
-    }
-
-    fn blob(&mut self, b: &StateBlob) {
-        self.u64(b.n as u64);
-        self.u64(b.q as u64);
-        self.bytes(&b.bytes);
     }
 }
 
-struct Dec<'a> {
+/// The binary record reader: every read is bounds-checked, so a short
+/// or hostile payload is a [`CodecError`], never a panic.
+pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
     fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(len).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let out = &self.buf[self.pos..end];
+        let out = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
         self.pos = end;
         Ok(out)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, CodecError> {
+    pub(crate) fn usize(&mut self) -> Result<usize, CodecError> {
         usize::try_from(self.u64()?).map_err(|_| malformed("count overflows usize"))
     }
 
-    fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u32()? as usize;
         self.take(len)
     }
 
-    fn str(&mut self) -> Result<&'a str, CodecError> {
+    pub(crate) fn str(&mut self) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| malformed("non-UTF-8 string"))
     }
-
-    fn blob(&mut self) -> Result<StateBlob, CodecError> {
-        let n = self.usize()?;
-        let q = self.usize()?;
-        let bytes = self.bytes()?.to_vec();
-        StateBlob::from_parts(n, q, bytes)
-    }
-
-    fn done(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} trailing bytes after record",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Tagged records
+// Frame records
 // ---------------------------------------------------------------------
 
-// Client frame tags.
-const C_SUBMIT: u8 = 0x01;
-const C_CANCEL: u8 = 0x02;
-const C_SHUTDOWN: u8 = 0x03;
-const C_HELLO: u8 = 0x04;
-const C_PING: u8 = 0x05;
-const C_SHARD_INIT: u8 = 0x06;
-const C_SHARD_SYNC: u8 = 0x07;
-
-// Server frame tags.
-const S_SUBMITTED: u8 = 0x81;
-const S_EVENT: u8 = 0x82;
-const S_ERROR: u8 = 0x83;
-const S_HELLO: u8 = 0x84;
-const S_PONG: u8 = 0x85;
-const S_SHARD_SYNC: u8 = 0x86;
-const S_SHARD_DONE: u8 = 0x87;
-
-// Job event tags.
-const E_ACCEPTED: u8 = 1;
-const E_REJECTED: u8 = 2;
-const E_STARTED: u8 = 3;
-const E_PROGRESS: u8 = 4;
-const E_FINISHED: u8 = 5;
-const E_FAILED: u8 = 6;
-const E_CANCELLED: u8 = 7;
-const E_STATE: u8 = 8;
-
-// Job output tags.
-const O_RUN: u8 = 1;
-const O_DISTRIBUTION: u8 = 2;
-const O_TV: u8 = 3;
-const O_COALESCENCE: u8 = 4;
-const O_SAMPLE: u8 = 5;
-const O_STREAM: u8 = 6;
-
-fn codec_byte(c: Codec) -> u8 {
-    match c {
-        Codec::Text => 0,
-        Codec::Binary => 1,
+/// Decodes one whole record of `F`, rejecting trailing bytes.
+pub(crate) fn decode<F: Field<Value = F>>(bytes: &[u8]) -> Result<F, CodecError> {
+    let mut d = Dec { buf: bytes, pos: 0 };
+    let value = F::take_bin(&mut d)?;
+    if d.pos == bytes.len() {
+        Ok(value)
+    } else {
+        Err(malformed(format!(
+            "{} trailing bytes after record",
+            bytes.len() - d.pos
+        )))
     }
 }
 
-fn codec_from_byte(b: u8) -> Result<Codec, CodecError> {
-    match b {
-        0 => Ok(Codec::Text),
-        1 => Ok(Codec::Binary),
-        other => Err(malformed(format!("codec byte 0x{other:02x}"))),
-    }
+fn encode<F: Field<Value = F>>(frame: &F) -> Vec<u8> {
+    let mut e = Enc(Vec::new());
+    F::put_bin(frame, &mut e);
+    e.0
 }
 
 /// Encodes a client frame as one tagged binary record (no length
 /// prefix — pair with [`write_frame`]).
 pub fn encode_client(frame: &ClientFrame) -> Vec<u8> {
-    let mut e = Enc::new();
-    match frame {
-        ClientFrame::Submit { id, spec } => {
-            e.u8(C_SUBMIT);
-            e.u64(*id);
-            e.str(spec);
-        }
-        ClientFrame::Cancel { id } => {
-            e.u8(C_CANCEL);
-            e.u64(*id);
-        }
-        ClientFrame::Shutdown => e.u8(C_SHUTDOWN),
-        ClientFrame::Hello { codec } => {
-            e.u8(C_HELLO);
-            e.u8(codec_byte(*codec));
-        }
-        ClientFrame::Ping { nonce } => {
-            e.u8(C_PING);
-            e.u64(*nonce);
-        }
-        ClientFrame::ShardInit {
-            id,
-            shard,
-            of,
-            spec,
-        } => {
-            e.u8(C_SHARD_INIT);
-            e.u64(*id);
-            e.u32(*shard);
-            e.u32(*of);
-            e.str(spec);
-        }
-        ClientFrame::ShardSync { id, round, blob } => {
-            e.u8(C_SHARD_SYNC);
-            e.u64(*id);
-            e.u64(*round);
-            e.blob(blob);
-        }
-    }
-    e.0
+    encode(frame)
 }
 
 /// Decodes one client frame record, rejecting trailing bytes.
 pub fn decode_client(bytes: &[u8]) -> Result<ClientFrame, CodecError> {
-    let mut d = Dec::new(bytes);
-    let frame = match d.u8()? {
-        C_SUBMIT => ClientFrame::Submit {
-            id: d.u64()?,
-            spec: d.str()?.to_string(),
-        },
-        C_CANCEL => ClientFrame::Cancel { id: d.u64()? },
-        C_SHUTDOWN => ClientFrame::Shutdown,
-        C_HELLO => ClientFrame::Hello {
-            codec: codec_from_byte(d.u8()?)?,
-        },
-        C_PING => ClientFrame::Ping { nonce: d.u64()? },
-        C_SHARD_INIT => ClientFrame::ShardInit {
-            id: d.u64()?,
-            shard: d.u32()?,
-            of: d.u32()?,
-            spec: d.str()?.to_string(),
-        },
-        C_SHARD_SYNC => ClientFrame::ShardSync {
-            id: d.u64()?,
-            round: d.u64()?,
-            blob: d.blob()?,
-        },
-        tag => return Err(malformed(format!("client frame tag 0x{tag:02x}"))),
-    };
-    d.done()?;
-    Ok(frame)
+    decode(bytes)
 }
 
 /// Encodes a server frame as one tagged binary record.
 pub fn encode_server(frame: &ServerFrame) -> Vec<u8> {
-    let mut e = Enc::new();
-    match frame {
-        ServerFrame::Submitted { id, jobs } => {
-            e.u8(S_SUBMITTED);
-            e.u64(*id);
-            e.u64(*jobs);
-        }
-        ServerFrame::Event { id, index, event } => {
-            e.u8(S_EVENT);
-            e.u64(*id);
-            e.u64(*index);
-            encode_event(&mut e, event);
-        }
-        ServerFrame::Error { id, message } => {
-            e.u8(S_ERROR);
-            match id {
-                Some(id) => {
-                    e.u8(1);
-                    e.u64(*id);
-                }
-                None => e.u8(0),
-            }
-            e.str(message);
-        }
-        ServerFrame::Hello { codec } => {
-            e.u8(S_HELLO);
-            e.u8(codec_byte(*codec));
-        }
-        ServerFrame::Pong { nonce } => {
-            e.u8(S_PONG);
-            e.u64(*nonce);
-        }
-        ServerFrame::ShardSync { id, round, blob } => {
-            e.u8(S_SHARD_SYNC);
-            e.u64(*id);
-            e.u64(*round);
-            e.blob(blob);
-        }
-        ServerFrame::ShardDone { id, rounds, blob } => {
-            e.u8(S_SHARD_DONE);
-            e.u64(*id);
-            e.u64(*rounds);
-            e.blob(blob);
-        }
-    }
-    e.0
+    encode(frame)
 }
 
 /// Decodes one server frame record, rejecting trailing bytes.
 pub fn decode_server(bytes: &[u8]) -> Result<ServerFrame, CodecError> {
-    let mut d = Dec::new(bytes);
-    let frame = match d.u8()? {
-        S_SUBMITTED => ServerFrame::Submitted {
-            id: d.u64()?,
-            jobs: d.u64()?,
-        },
-        S_EVENT => ServerFrame::Event {
-            id: d.u64()?,
-            index: d.u64()?,
-            event: decode_event(&mut d)?,
-        },
-        S_ERROR => {
-            let id = match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                other => return Err(malformed(format!("error id flag 0x{other:02x}"))),
-            };
-            ServerFrame::Error {
-                id,
-                message: d.str()?.to_string(),
-            }
-        }
-        S_HELLO => ServerFrame::Hello {
-            codec: codec_from_byte(d.u8()?)?,
-        },
-        S_PONG => ServerFrame::Pong { nonce: d.u64()? },
-        S_SHARD_SYNC => ServerFrame::ShardSync {
-            id: d.u64()?,
-            round: d.u64()?,
-            blob: d.blob()?,
-        },
-        S_SHARD_DONE => ServerFrame::ShardDone {
-            id: d.u64()?,
-            rounds: d.u64()?,
-            blob: d.blob()?,
-        },
-        tag => return Err(malformed(format!("server frame tag 0x{tag:02x}"))),
-    };
-    d.done()?;
-    Ok(frame)
-}
-
-fn encode_event(e: &mut Enc, event: &JobEvent) {
-    match event {
-        JobEvent::Accepted => e.u8(E_ACCEPTED),
-        JobEvent::Rejected { reason } => {
-            e.u8(E_REJECTED);
-            // Reject reasons and spec errors cross the binary wire as
-            // their proto tokens: the token grammar is already proven
-            // invertible, so the binary codec inherits the proof.
-            e.str(&proto::encode_reject_reason(reason));
-        }
-        JobEvent::Started => e.u8(E_STARTED),
-        JobEvent::Progress { round, of } => {
-            e.u8(E_PROGRESS);
-            e.u64(*round);
-            e.u64(*of);
-        }
-        JobEvent::Finished(result) => {
-            e.u8(E_FINISHED);
-            encode_result(e, result);
-        }
-        JobEvent::Failed(err) => {
-            e.u8(E_FAILED);
-            e.str(&proto::encode_spec_error(err));
-        }
-        JobEvent::Cancelled => e.u8(E_CANCELLED),
-        JobEvent::State { round, blob } => {
-            e.u8(E_STATE);
-            e.u64(*round);
-            e.blob(blob);
-        }
-    }
-}
-
-fn decode_event(d: &mut Dec<'_>) -> Result<JobEvent, CodecError> {
-    Ok(match d.u8()? {
-        E_ACCEPTED => JobEvent::Accepted,
-        E_REJECTED => JobEvent::Rejected {
-            reason: proto::decode_reject_reason(d.str()?).map_err(|e| malformed(e.to_string()))?,
-        },
-        E_STARTED => JobEvent::Started,
-        E_PROGRESS => JobEvent::Progress {
-            round: d.u64()?,
-            of: d.u64()?,
-        },
-        E_FINISHED => JobEvent::Finished(decode_result(d)?),
-        E_FAILED => JobEvent::Failed(
-            proto::decode_spec_error(d.str()?).map_err(|e| malformed(e.to_string()))?,
-        ),
-        E_CANCELLED => JobEvent::Cancelled,
-        E_STATE => JobEvent::State {
-            round: d.u64()?,
-            blob: d.blob()?,
-        },
-        tag => return Err(malformed(format!("job event tag 0x{tag:02x}"))),
-    })
-}
-
-fn encode_result(e: &mut Enc, result: &JobResult) {
-    e.str(&result.spec);
-    e.f64(result.elapsed_secs);
-    match &result.output {
-        JobOutput::Run {
-            rounds,
-            n,
-            feasible,
-            fingerprint,
-            comm,
-        } => {
-            e.u8(O_RUN);
-            e.u64(*rounds);
-            e.u64(*n as u64);
-            e.u8(u8::from(*feasible));
-            e.u64(*fingerprint);
-            match comm {
-                Some(c) => {
-                    e.u8(1);
-                    e.u64(c.rounds_seen);
-                    e.u64(c.total_messages);
-                    e.u64(c.total_bytes);
-                    e.u64(c.total_changed);
-                }
-                None => e.u8(0),
-            }
-        }
-        JobOutput::Distribution { replicas, support } => {
-            e.u8(O_DISTRIBUTION);
-            e.u64(*replicas);
-            e.u64(*support as u64);
-        }
-        JobOutput::Tv {
-            rounds,
-            replicas,
-            tv,
-        } => {
-            e.u8(O_TV);
-            e.u64(*rounds as u64);
-            e.u64(*replicas as u64);
-            e.f64(*tv);
-        }
-        JobOutput::Coalescence {
-            trials,
-            mean_rounds,
-            std_error,
-            timeouts,
-        } => {
-            e.u8(O_COALESCENCE);
-            e.u64(*trials as u64);
-            e.f64(*mean_rounds);
-            e.f64(*std_error);
-            e.u64(*timeouts as u64);
-        }
-        JobOutput::Sample { rounds, states } => {
-            e.u8(O_SAMPLE);
-            e.u64(*rounds);
-            e.u32(u32::try_from(states.len()).expect("replica count fits u32"));
-            for blob in states {
-                e.blob(blob);
-            }
-        }
-        JobOutput::Stream {
-            rounds,
-            every,
-            n,
-            states,
-            fingerprint,
-        } => {
-            e.u8(O_STREAM);
-            e.u64(*rounds);
-            e.u64(*every as u64);
-            e.u64(*n as u64);
-            e.u64(*states);
-            e.u64(*fingerprint);
-        }
-    }
-}
-
-fn decode_result(d: &mut Dec<'_>) -> Result<JobResult, CodecError> {
-    let spec = d.str()?.to_string();
-    let elapsed_secs = d.f64()?;
-    let output = match d.u8()? {
-        O_RUN => {
-            let rounds = d.u64()?;
-            let n = d.usize()?;
-            let feasible = match d.u8()? {
-                0 => false,
-                1 => true,
-                other => return Err(malformed(format!("feasible byte 0x{other:02x}"))),
-            };
-            let fingerprint = d.u64()?;
-            let comm = match d.u8()? {
-                0 => None,
-                1 => Some(CommSummary {
-                    rounds_seen: d.u64()?,
-                    total_messages: d.u64()?,
-                    total_bytes: d.u64()?,
-                    total_changed: d.u64()?,
-                }),
-                other => return Err(malformed(format!("comm flag 0x{other:02x}"))),
-            };
-            JobOutput::Run {
-                rounds,
-                n,
-                feasible,
-                fingerprint,
-                comm,
-            }
-        }
-        O_DISTRIBUTION => JobOutput::Distribution {
-            replicas: d.u64()?,
-            support: d.usize()?,
-        },
-        O_TV => JobOutput::Tv {
-            rounds: d.usize()?,
-            replicas: d.usize()?,
-            tv: d.f64()?,
-        },
-        O_COALESCENCE => JobOutput::Coalescence {
-            trials: d.usize()?,
-            mean_rounds: d.f64()?,
-            std_error: d.f64()?,
-            timeouts: d.usize()?,
-        },
-        O_SAMPLE => {
-            let rounds = d.u64()?;
-            let count = d.u32()? as usize;
-            let mut states = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                states.push(d.blob()?);
-            }
-            JobOutput::Sample { rounds, states }
-        }
-        O_STREAM => JobOutput::Stream {
-            rounds: d.u64()?,
-            every: d.usize()?,
-            n: d.usize()?,
-            states: d.u64()?,
-            fingerprint: d.u64()?,
-        },
-        tag => return Err(malformed(format!("job output tag 0x{tag:02x}"))),
-    };
-    Ok(JobResult {
-        spec,
-        output,
-        elapsed_secs,
-    })
+    decode(bytes)
 }
 
 // ---------------------------------------------------------------------
 // The frame layer
 // ---------------------------------------------------------------------
 
+/// Fills in the `u32` length prefix reserved at the front of `buf`.
+/// Errors if the payload exceeds [`MAX_FRAME`] — encode-side
+/// enforcement of the same cap decoding applies.
+fn prefixed(mut buf: Vec<u8>) -> io::Result<Vec<u8>> {
+    let len = buf.len() - 4;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            CodecError::Oversize { len: len as u64 }.to_string(),
+        ));
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(buf)
+}
+
+/// One binary frame ready for the socket: the length prefix and the
+/// record, encoded into one buffer.
+pub(crate) fn framed<F: Field<Value = F>>(frame: &F) -> io::Result<Vec<u8>> {
+    let mut e = Enc(vec![0; 4]);
+    F::put_bin(frame, &mut e);
+    prefixed(e.0)
+}
+
 /// Writes one length-prefixed frame: a little-endian `u32` payload
 /// length, then the payload — as a **single** `write_all`, so an
 /// unbuffered socket sees one packet, not a 4-byte runt that Nagle +
-/// delayed-ACK would stall on. Errors if the payload exceeds
-/// [`MAX_FRAME`] — encode-side enforcement of the same cap decoding
-/// applies.
+/// delayed-ACK would stall on. Errors past [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            CodecError::Oversize {
-                len: payload.len() as u64,
-            }
-            .to_string(),
-        ));
-    }
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(payload);
-    w.write_all(&framed)
+    let mut buf = vec![0; 4];
+    buf.extend_from_slice(payload);
+    w.write_all(&prefixed(buf)?)
 }
 
-/// Incremental frame reassembly for a non-blocking read loop: feed
-/// whatever bytes arrive with [`FrameBuffer::extend`], pull complete
-/// payloads with [`FrameBuffer::next_frame`].
+/// Incremental frame cutting for a session's read loop: feed whatever
+/// bytes arrive with [`FrameBuffer::extend`], pull complete frames with
+/// [`FrameBuffer::next_as`] — length-prefixed payloads on a binary
+/// session, `\n`-terminated lines on a text one. Bytes buffered across
+/// a codec switch are cut under the new codec.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -966,8 +564,22 @@ impl FrameBuffer {
         self.buf.is_empty()
     }
 
-    /// Pops the next complete frame payload, `Ok(None)` if more bytes
-    /// are needed. An over-cap length prefix returns
+    /// Pops the next complete frame under `codec`: a binary payload
+    /// ([`FrameBuffer::next_frame`]) or a text line without its `\n`.
+    /// `Ok(None)` if more bytes are needed.
+    pub fn next_as(&mut self, codec: Codec) -> Result<Option<Vec<u8>>, CodecError> {
+        match codec {
+            Codec::Binary => self.next_frame(),
+            Codec::Text => Ok(self.buf.iter().position(|&b| b == b'\n').map(|pos| {
+                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
+                line.pop();
+                line
+            })),
+        }
+    }
+
+    /// Pops the next complete binary frame payload, `Ok(None)` if more
+    /// bytes are needed. An over-cap length prefix returns
     /// [`CodecError::Oversize`] after consuming only the 4 header
     /// bytes, so the session can answer a typed error and resume
     /// parsing at the next byte.

@@ -1,6 +1,6 @@
 //! The network front end: the service's event-streaming job protocol
-//! over TCP (`std::net`, one session per connection, line-delimited
-//! [`proto`](crate::proto) frames).
+//! over TCP (`std::net`, one session per connection, speaking the
+//! [`proto`](crate::proto) frames in either codec).
 //!
 //! * [`Server::bind`] starts an accept loop over a shared
 //!   [`Service`]; each connection gets a session thread that parses
@@ -33,16 +33,17 @@
 //!
 //! **Codec negotiation**: sessions start on the text codec. A client
 //! `hello codec=binary` frame switches the session to the
-//! length-prefixed binary codec ([`codec`]): the server
-//! acks in the old codec under the writer lock, then both directions
-//! speak binary — the path that makes full-state delivery
-//! ([`JobEvent::State`]) cheap. Text sessions remain fully supported
-//! (blobs fall back to base64url tokens), and both codecs answer
-//! bit-identical outcomes (`tests/codec_identity.rs`).
+//! length-prefixed binary codec ([`codec`]): the server acks in the old
+//! codec under the writer lock, then both directions speak binary — the
+//! path that makes full-state delivery ([`JobEvent::State`]) cheap.
+//! Both codecs answer bit-identical outcomes
+//! (`tests/codec_identity.rs`). The format decision lives in this
+//! module's one frame-write and one frame-cut function, both keyed by
+//! [`Codec`] and shared by server sessions and [`Client`].
 
-use crate::codec::{self, Codec, CodecError, StateBlob};
+use crate::codec::{self, Codec, CodecError, FrameBuffer, StateBlob};
 use crate::lifecycle::{CancelToken, RejectReason};
-use crate::proto::{ClientFrame, ServerFrame, WireError};
+use crate::proto::{wire_err, ClientFrame, Field, ServerFrame, WireError};
 use crate::service::{JobEvent, Service};
 use crate::spec::{JobResult, SpecError, SweepResult, SweepSpec};
 use std::collections::HashMap;
@@ -58,50 +59,90 @@ use std::time::{Duration, Instant};
 /// a shutdown can be.
 const SESSION_POLL: Duration = Duration::from_millis(25);
 
-/// A session's shared write half: the socket behind a lock (so
-/// concurrent forwarders never interleave *within* a frame — including
-/// large state frames, which go out atomically) plus the codec flag,
-/// flipped under that same lock so every frame lands wholly in one
-/// codec.
+/// Writes one frame under `codec` — a text line or a length-prefixed
+/// binary record — as a **single** `write_all`, so Nagle + delayed-ACK
+/// never stalls a half-sent frame. The one frame-write path of both
+/// session ends.
+fn write_as<F: Field<Value = F>>(
+    w: &mut impl Write,
+    codec: Codec,
+    frame: &F,
+) -> std::io::Result<()> {
+    let bytes = match codec {
+        Codec::Text => {
+            let mut line = String::new();
+            F::put_text(frame, &mut line);
+            line.push('\n');
+            line.into_bytes()
+        }
+        Codec::Binary => codec::framed(frame)?,
+    };
+    w.write_all(&bytes)
+}
+
+/// Cuts and decodes the next complete frame off `buf` under `codec`;
+/// `Ok(None)` when more bytes are needed. Blank text lines are skipped.
+/// The one frame-cut path of both session ends.
+fn read_as<F: Field<Value = F>>(
+    buf: &mut FrameBuffer,
+    codec: Codec,
+) -> Result<Option<F>, NetError> {
+    while let Some(payload) = buf.next_as(codec).map_err(NetError::Codec)? {
+        if codec == Codec::Binary {
+            return codec::decode(&payload).map(Some).map_err(NetError::Codec);
+        }
+        let line =
+            std::str::from_utf8(&payload).map_err(|_| NetError::Wire(wire_err("not UTF-8")))?;
+        let line = line.trim();
+        if !line.is_empty() {
+            return F::take_text(line).map(Some).map_err(NetError::Wire);
+        }
+    }
+    Ok(None)
+}
+
+/// Whether a socket read error only means a timed read came back
+/// empty (retry), not that the connection failed.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock
+            | std::io::ErrorKind::TimedOut
+            | std::io::ErrorKind::Interrupted
+    )
+}
+
+/// A session's shared write half: the socket and its codec behind one
+/// lock, so concurrent forwarders never interleave *within* a frame —
+/// including large state frames, which go out atomically — and every
+/// frame lands wholly in one codec.
 struct SessionWriter {
-    stream: Mutex<TcpStream>,
-    binary: AtomicBool,
+    out: Mutex<(TcpStream, Codec)>,
 }
 
 impl SessionWriter {
-    fn new(stream: TcpStream) -> Self {
-        SessionWriter {
-            stream: Mutex::new(stream),
-            binary: AtomicBool::new(false),
-        }
-    }
-
-    /// Writes one frame in the session's current codec. Text frames go
-    /// out as a single `write_all` (not a fragment-per-`write!` piece),
-    /// so Nagle + delayed-ACK never stalls a half-sent line.
+    /// Writes one frame in the session's current codec.
     fn send(&self, frame: &ServerFrame) {
-        let mut w = self.stream.lock().expect("session writer lock");
+        let mut out = self.out.lock().expect("session writer lock");
+        let (stream, codec) = &mut *out;
         // A gone client is not an error worth a worker's life: the
         // session reader will notice EOF and wind down.
-        let _ = if self.binary.load(Ordering::Acquire) {
-            codec::write_frame(&mut *w, &codec::encode_server(frame))
-        } else {
-            w.write_all(format!("{frame}\n").as_bytes())
-        };
+        let _ = write_as(stream, *codec, frame);
+    }
+
+    /// Answers a typed `error` frame; the session stays up.
+    fn error(&self, id: Option<u64>, message: String) {
+        self.send(&ServerFrame::Error { id, message });
     }
 
     /// Acks a `hello` and switches codecs atomically under the writer
     /// lock: the ack goes out in the *old* codec, every later frame in
     /// the new one — no frame can straddle the switch.
     fn switch(&self, to: Codec) {
-        let mut w = self.stream.lock().expect("session writer lock");
-        let ack = ServerFrame::Hello { codec: to };
-        let _ = if self.binary.load(Ordering::Acquire) {
-            codec::write_frame(&mut *w, &codec::encode_server(&ack))
-        } else {
-            w.write_all(format!("{ack}\n").as_bytes())
-        };
-        self.binary.store(to == Codec::Binary, Ordering::Release);
+        let mut out = self.out.lock().expect("session writer lock");
+        let (stream, codec) = &mut *out;
+        let _ = write_as(stream, *codec, &ServerFrame::Hello { codec: to });
+        *codec = to;
     }
 }
 
@@ -301,7 +342,9 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let writer = Arc::new(SessionWriter::new(stream));
+    let writer = Arc::new(SessionWriter {
+        out: Mutex::new((stream, Codec::Text)),
+    });
     // Jobs of this session that have not reported a terminal event
     // yet; forwarders decrement as terminals go out.
     let inflight = Arc::new(AtomicUsize::new(0));
@@ -316,15 +359,13 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
     // runners learn their coordinator is gone.
     let mut shards: HashMap<u64, std::sync::mpsc::Sender<(u64, StateBlob)>> = HashMap::new();
     let mut cancelled_all = false;
-    // Raw byte accumulation persists across timed reads: in text mode
-    // complete lines are cut at `\n` (a partial tail waits for more
-    // bytes), in binary mode complete length-prefixed frames are cut
-    // by their prefix. A `hello` frame flips the mode for every byte
-    // that follows it — bytes already buffered behind the hello are
-    // re-interpreted under the new codec, exactly as the client that
+    // Raw byte accumulation persists across timed reads (a partial
+    // tail waits for more bytes). A `hello` frame flips the codec for
+    // every byte that follows it — bytes already buffered behind the
+    // hello are cut under the new codec, exactly as the client that
     // switched immediately after sending it intended.
-    let mut inbuf: Vec<u8> = Vec::new();
-    let mut binary = false;
+    let mut inbuf = FrameBuffer::new();
+    let mut codec = Codec::Text;
     let mut tmp = vec![0u8; 64 * 1024];
     loop {
         if ctl.cancel_all.load(Ordering::Acquire) && !cancelled_all {
@@ -339,46 +380,18 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
         match sock.read(&mut tmp) {
             Ok(0) => break,
             Ok(n) => {
-                inbuf.extend_from_slice(&tmp[..n]);
-                // Drain every complete frame at the mode it arrives
-                // under.
+                inbuf.extend(&tmp[..n]);
+                // Drain every complete frame at the codec it arrives
+                // under; a bad frame (including an over-cap binary
+                // prefix, after which the cut resyncs) is answered
+                // typed and the session reads on.
                 loop {
-                    let parsed: Result<ClientFrame, String> = if binary {
-                        if inbuf.len() < 4 {
-                            break;
-                        }
-                        let len =
-                            u32::from_le_bytes([inbuf[0], inbuf[1], inbuf[2], inbuf[3]]) as usize;
-                        if len > codec::MAX_FRAME {
-                            // Resync after the 4 header bytes; the
-                            // typed error is the malformed-frame
-                            // contract, binary edition.
-                            inbuf.drain(..4);
-                            Err(CodecError::Oversize { len: len as u64 }.to_string())
-                        } else if inbuf.len() < 4 + len {
-                            break;
-                        } else {
-                            let payload: Vec<u8> = inbuf[4..4 + len].to_vec();
-                            inbuf.drain(..4 + len);
-                            codec::decode_client(&payload).map_err(|e| e.to_string())
-                        }
-                    } else {
-                        let Some(pos) = inbuf.iter().position(|&b| b == b'\n') else {
-                            break;
-                        };
-                        let line: Vec<u8> = inbuf.drain(..=pos).collect();
-                        match std::str::from_utf8(&line) {
-                            Ok(s) => {
-                                let s = s.trim();
-                                if s.is_empty() {
-                                    continue;
-                                }
-                                s.parse::<ClientFrame>().map_err(|e| e.to_string())
-                            }
-                            Err(_) => Err("malformed frame: not UTF-8".to_string()),
-                        }
+                    let parsed = match read_as::<ClientFrame>(&mut inbuf, codec) {
+                        Ok(None) => break,
+                        Ok(Some(frame)) => Ok(frame),
+                        Err(e) => Err(e.to_string()),
                     };
-                    if let Some(mode) = handle_frame(
+                    if let Some(to) = handle_frame(
                         parsed,
                         &writer,
                         service,
@@ -388,17 +401,11 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
                         &mut forwarders,
                         &mut shards,
                     ) {
-                        binary = mode == Codec::Binary;
+                        codec = to;
                     }
                 }
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
+            Err(e) if timed_out(&e) => {}
             Err(_) => break,
         }
         // Reap finished forwarders so a long-lived session submitting
@@ -437,7 +444,7 @@ fn handle_frame(
     match parsed {
         Err(message) => {
             // The malformed-frame contract: answer typed, stay up.
-            writer.send(&ServerFrame::Error { id: None, message });
+            writer.error(None, message);
         }
         Ok(ClientFrame::Hello { codec }) => {
             // Ack in the old codec, then switch both directions.
@@ -456,10 +463,7 @@ fn handle_frame(
             spec,
         }) => {
             if shards.contains_key(&id) {
-                writer.send(&ServerFrame::Error {
-                    id: Some(id),
-                    message: format!("shard id {id} already initialised"),
-                });
+                writer.error(Some(id), format!("shard id {id} already initialised"));
                 return None;
             }
             let (tx, rx) = std::sync::mpsc::channel::<(u64, StateBlob)>();
@@ -487,10 +491,7 @@ fn handle_frame(
             Some(tx) => {
                 let _ = tx.send((round, blob));
             }
-            None => writer.send(&ServerFrame::Error {
-                id: Some(id),
-                message: format!("shard-sync for unknown shard id {id}"),
-            }),
+            None => writer.error(Some(id), format!("shard-sync for unknown shard id {id}")),
         },
         Ok(ClientFrame::Cancel { id }) => match tokens.get(&id) {
             // The terminal `cancelled` event (per member, through the
@@ -500,19 +501,13 @@ fn handle_frame(
                     token.cancel();
                 }
             }
-            None => writer.send(&ServerFrame::Error {
-                id: Some(id),
-                message: format!("cancel for unknown job id {id}"),
-            }),
+            None => writer.error(Some(id), format!("cancel for unknown job id {id}")),
         },
         Ok(ClientFrame::Shutdown) => {
             ctl.shutdown_requested.store(true, Ordering::Release);
         }
         Ok(ClientFrame::Submit { id, spec }) => match spec.parse::<SweepSpec>() {
-            Err(e) => writer.send(&ServerFrame::Error {
-                id: Some(id),
-                message: e.to_string(),
-            }),
+            Err(e) => writer.error(Some(id), e.to_string()),
             Ok(sweep) => {
                 let members = sweep.expand();
                 let jobs = members.len();
@@ -679,7 +674,7 @@ pub struct Client {
     codec: Codec,
     /// Raw receive buffer, shared by both codecs (bytes buffered
     /// across a codec switch are re-cut under the new framing).
-    inbuf: Vec<u8>,
+    inbuf: FrameBuffer,
 }
 
 struct Pending {
@@ -715,7 +710,7 @@ impl Client {
             pending: HashMap::new(),
             order: Vec::new(),
             codec: Codec::Text,
-            inbuf: Vec::new(),
+            inbuf: FrameBuffer::new(),
         })
     }
 
@@ -736,7 +731,7 @@ impl Client {
         client
             .send(&ClientFrame::Hello { codec })
             .map_err(|e| invalid(format!("codec handshake write failed: {e}")))?;
-        match client.read_frame_deadline(None) {
+        match client.recv_frame(None) {
             Ok(Some(ServerFrame::Hello { codec: acked })) if acked == codec => {
                 client.codec = codec;
                 Ok(client)
@@ -797,7 +792,7 @@ impl Client {
             .map_err(NetError::Io)?;
         let deadline = Instant::now() + timeout;
         loop {
-            match self.read_frame_deadline(Some(deadline))? {
+            match self.recv_frame(Some(deadline))? {
                 None => return Err(NetError::Disconnected),
                 Some(ServerFrame::Pong { nonce: got }) if got == nonce => return Ok(()),
                 Some(ServerFrame::Pong { .. }) => {}
@@ -813,8 +808,14 @@ impl Client {
         self.send(frame).map_err(NetError::Io)
     }
 
-    /// Blocks for the next raw server frame until `deadline` (`None`
-    /// waits forever). `Ok(None)` means the server closed.
+    /// Sends one client frame under the negotiated codec.
+    fn send(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
+        write_as(&mut self.stream, self.codec, frame)
+    }
+
+    /// Blocks for the next server frame under the negotiated codec,
+    /// retrying timed socket reads until `deadline` (forever when
+    /// `None`). `Ok(None)` means the server closed the connection.
     ///
     /// # Errors
     /// [`NetError::Timeout`] past the deadline; socket/decode errors
@@ -823,34 +824,9 @@ impl Client {
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<Option<ServerFrame>, NetError> {
-        self.read_frame_deadline(deadline)
-    }
-
-    /// Sends one client frame under the negotiated codec, as a single
-    /// `write_all` either way (no Nagle-stalled half-frames).
-    fn send(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
-        match self.codec {
-            Codec::Text => self.stream.write_all(format!("{frame}\n").as_bytes()),
-            Codec::Binary => codec::write_frame(&mut self.stream, &codec::encode_client(frame)),
-        }
-    }
-
-    /// Blocks for the next server frame under the negotiated codec.
-    /// `Ok(None)` means the server closed the connection.
-    fn read_frame(&mut self) -> Result<Option<ServerFrame>, NetError> {
-        self.read_frame_deadline(None)
-    }
-
-    /// Blocks for the next server frame, retrying timed socket reads
-    /// until `deadline` (forever when `None`). `Ok(None)` means the
-    /// server closed the connection.
-    fn read_frame_deadline(
-        &mut self,
-        deadline: Option<Instant>,
-    ) -> Result<Option<ServerFrame>, NetError> {
         let mut tmp = [0u8; 64 * 1024];
         loop {
-            if let Some(frame) = self.cut_frame()? {
+            if let Some(frame) = read_as(&mut self.inbuf, self.codec)? {
                 return Ok(Some(frame));
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -858,63 +834,9 @@ impl Client {
             }
             match self.stream.read(&mut tmp) {
                 Ok(0) => return Ok(None),
-                Ok(n) => self.inbuf.extend_from_slice(&tmp[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) => {}
+                Ok(n) => self.inbuf.extend(&tmp[..n]),
+                Err(e) if timed_out(&e) => {}
                 Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-    }
-
-    /// Cuts one complete frame off the receive buffer under the
-    /// current codec, or `None` when more bytes are needed. Empty
-    /// text lines are skipped.
-    fn cut_frame(&mut self) -> Result<Option<ServerFrame>, NetError> {
-        loop {
-            match self.codec {
-                Codec::Text => {
-                    let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') else {
-                        return Ok(None);
-                    };
-                    let line: Vec<u8> = self.inbuf.drain(..=pos).collect();
-                    let line = std::str::from_utf8(&line)
-                        .map_err(|_| NetError::Protocol("server frame not UTF-8".into()))?
-                        .trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    return line
-                        .parse::<ServerFrame>()
-                        .map(Some)
-                        .map_err(NetError::Wire);
-                }
-                Codec::Binary => {
-                    if self.inbuf.len() < 4 {
-                        return Ok(None);
-                    }
-                    let len = u32::from_le_bytes([
-                        self.inbuf[0],
-                        self.inbuf[1],
-                        self.inbuf[2],
-                        self.inbuf[3],
-                    ]) as usize;
-                    if len > codec::MAX_FRAME {
-                        return Err(NetError::Codec(CodecError::Oversize { len: len as u64 }));
-                    }
-                    if self.inbuf.len() < 4 + len {
-                        return Ok(None);
-                    }
-                    let payload: Vec<u8> = self.inbuf[4..4 + len].to_vec();
-                    self.inbuf.drain(..4 + len);
-                    return codec::decode_server(&payload)
-                        .map(Some)
-                        .map_err(NetError::Codec);
-                }
             }
         }
     }
@@ -988,7 +910,7 @@ impl Client {
     /// errors here; they come back inside [`RemoteOutcome::members`].
     pub fn drain(&mut self) -> Result<Vec<RemoteOutcome>, NetError> {
         while !self.all_resolved() {
-            let frame = self.read_frame()?.ok_or(NetError::Disconnected)?;
+            let frame = self.recv_frame(None)?.ok_or(NetError::Disconnected)?;
             self.apply(frame)?;
         }
         let mut outcomes = Vec::with_capacity(self.order.len());

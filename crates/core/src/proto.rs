@@ -1,33 +1,48 @@
-//! The wire protocol: a hand-rolled, line-delimited codec putting the
-//! service's job protocol on a byte stream.
+//! The wire vocabulary, declared once: every frame, event, output and
+//! error token of the job protocol, with the one schema that drives
+//! both wire formats.
 //!
-//! Exactly like the spec grammar, every message round-trips through
-//! `Display`/`FromStr` (no serde — and no framing beyond "one frame
-//! per line"). A session speaks two frame alphabets:
+//! A session speaks two frame alphabets:
 //!
-//! * [`ClientFrame`] — client → server:
-//!   `submit id=<id> spec=<spec-or-sweep line>`, `cancel id=<id>`
-//!   (stop every member of a submitted id), `shutdown` (ask the
-//!   server to drain and exit), `ping nonce=<n>` (liveness probe),
-//!   and the cluster frames `shard-init id=<id> shard=<s> of=<k>
-//!   spec=<spec line>` / `shard-sync id=<id> round=<r>
-//!   blob=<n/q/base64url>` (open a distributed shard session;
-//!   deliver one round's halo states);
-//! * [`ServerFrame`] — server → client:
-//!   `submitted id=<id> jobs=<n>` (the submit ack, carrying the sweep
-//!   expansion size), `event id=<id> index=<k> <event>` (one member
-//!   job's [`JobEvent`]), `error [id=<id>] message=<..>` (a typed
-//!   protocol error; the session stays alive), `pong nonce=<n>`, and
-//!   the cluster answers `shard-sync id=<id> round=<r> blob=<..>` /
-//!   `shard-done id=<id> rounds=<r> blob=<..>` (one round's boundary
-//!   states; the shard's final owned states).
+//! * [`ClientFrame`] — client → server: `submit id=<id> spec=<line>`,
+//!   `cancel id=<id>`, `shutdown`, `hello codec=<name>`,
+//!   `ping nonce=<n>`, and the cluster frames `shard-init id=<id>
+//!   shard=<s> of=<k> spec=<line>` / `shard-sync id=<id> round=<r>
+//!   blob=<n/q/base64url>`;
+//! * [`ServerFrame`] — server → client: `submitted id=<id> jobs=<n>`,
+//!   `event id=<id> index=<k> <event>` (one member job's
+//!   [`JobEvent`]), `error id=<id|-> message=<..>` (a typed protocol
+//!   error; the session stays alive), `hello codec=<name>`,
+//!   `pong nonce=<n>`, and the cluster answers `shard-sync` /
+//!   `shard-done id=<id> rounds=<r> blob=<..>`.
 //!
-//! [`JobEvent`] and [`JobResult`] gain `Display`/`FromStr` here — the
-//! printed form **is** the wire form, and `parse ∘ print` is the
-//! identity (property-tested in `tests/proto_roundtrip.rs`). Floats
-//! are printed with Rust's shortest-round-trip `Display`, so results
-//! survive the wire bit-identically; strings inside errors are
-//! percent-escaped into single tokens ([`escape`]/[`unescape`]).
+//! ## One declaration per variant
+//!
+//! The `wire!` tables below list, for every variant of [`ClientFrame`],
+//! [`ServerFrame`], [`JobEvent`], [`JobOutput`], [`SpecError`],
+//! [`BuildError`] and [`RejectReason`], its text name, its binary tag
+//! and its typed fields in order. Both codecs walk that one list:
+//!
+//! * **text** (this module's `Display`/`FromStr`, the line protocol and
+//!   the store format): the name, then each field as `key=value` (or a
+//!   bare value) — space-separated in frames and events,
+//!   `name:k=v,k=v` in outputs and error tokens;
+//! * **binary** ([`codec`](crate::codec)): the tag byte, then each
+//!   field's fixed record. Error tokens have no tags: they cross the
+//!   binary wire as their text token.
+//!
+//! Each field type implements its text token and binary record once
+//! (`u64` decimal / 8 bytes LE, `f64` shortest round-trip / IEEE bits,
+//! escaped strings, rest-of-line `spec=`, `Option` as `-` / a flag
+//! byte, [`StateBlob`] as `n/q/base64url` / packed bytes, …). Decoding
+//! is strict: a text or binary form decodes only if re-encoding the
+//! value gives back exactly the input, so `parse ∘ print = id` and the
+//! wire forms are canonical (`tests/proto_roundtrip.rs`,
+//! `tests/hostile_wire.rs`).
+//!
+//! **Adding a frame**: add the variant to its enum, add one row to its
+//! `wire!` table (name, tag, fields), and add one golden row to
+//! `tests/wire_golden.rs` pinning its text line and binary record.
 //!
 //! ## Event ordering over the wire
 //!
@@ -39,11 +54,13 @@
 //! ([`RejectReason`]). The `submitted` ack always precedes every event
 //! of its `id`.
 
+use crate::codec::{Codec, CodecError, Dec, Enc, StateBlob};
 use crate::lifecycle::RejectReason;
 use crate::sampler::{Algorithm, BuildError};
 use crate::service::JobEvent;
-use crate::spec::{JobOutput, JobResult, SpecError};
-use std::fmt;
+use crate::spec::{CommSummary, JobOutput, JobResult, SpecError};
+use std::fmt::{self, Write as _};
+use std::marker::PhantomData;
 use std::str::FromStr;
 
 /// Why a frame failed to parse. The receiving end answers with an
@@ -63,7 +80,7 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn wire_err(message: impl Into<String>) -> WireError {
+pub(crate) fn wire_err(message: impl Into<String>) -> WireError {
     WireError {
         message: message.into(),
     }
@@ -72,6 +89,17 @@ fn wire_err(message: impl Into<String>) -> WireError {
 // ---------------------------------------------------------------------
 // Token escaping
 // ---------------------------------------------------------------------
+
+/// Whether [`escape`] writes `byte` as `%XX`.
+fn escaped(byte: u8) -> bool {
+    // Pushing a non-ASCII byte as a `char` would Latin-1-widen it
+    // (mojibake after decode); everything outside printable ASCII is
+    // escaped instead.
+    matches!(byte, b'%' | b',' | b'=' | b':')
+        || byte.is_ascii_whitespace()
+        || byte.is_ascii_control()
+        || !byte.is_ascii()
+}
 
 /// Percent-escapes `s` into a single ASCII frame token: `%`,
 /// separators (whitespace, `,`, `=`, `:`), control bytes, and every
@@ -82,24 +110,20 @@ fn wire_err(message: impl Into<String>) -> WireError {
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for byte in s.bytes() {
-        match byte {
-            b'%' | b',' | b'=' | b':' => out.push_str(&format!("%{byte:02X}")),
-            // Pushing a non-ASCII byte as a `char` would Latin-1-widen
-            // it (mojibake after decode); escape everything outside
-            // printable ASCII instead.
-            b if b.is_ascii_whitespace() || b.is_ascii_control() || !b.is_ascii() => {
-                out.push_str(&format!("%{b:02X}"));
-            }
-            b => out.push(b as char),
+        if escaped(byte) {
+            let _ = write!(out, "%{byte:02X}");
+        } else {
+            out.push(byte as char);
         }
     }
     out
 }
 
-/// Inverts [`escape`].
+/// Inverts [`escape`], accepting only what `escape` produces.
 ///
 /// # Errors
-/// A [`WireError`] on a truncated or non-hex `%XX` sequence.
+/// A [`WireError`] on a truncated or non-hex `%XX` sequence, a raw byte
+/// that `escape` would have escaped, or an escape it would not write.
 pub fn unescape(s: &str) -> Result<String, WireError> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -109,11 +133,16 @@ pub fn unescape(s: &str) -> Result<String, WireError> {
             let hex = bytes
                 .get(i + 1..i + 3)
                 .ok_or_else(|| wire_err(format!("truncated escape in {s:?}")))?;
-            let hex = std::str::from_utf8(hex).map_err(|_| wire_err("non-ascii escape"))?;
-            let byte = u8::from_str_radix(hex, 16)
-                .map_err(|_| wire_err(format!("bad escape %{hex} in {s:?}")))?;
+            let byte = std::str::from_utf8(hex)
+                .ok()
+                .filter(|h| h.bytes().all(|c| matches!(c, b'0'..=b'9' | b'A'..=b'F')))
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .filter(|&b| escaped(b))
+                .ok_or_else(|| wire_err(format!("bad escape in {s:?}")))?;
             out.push(byte);
             i += 3;
+        } else if escaped(bytes[i]) {
+            return Err(wire_err(format!("unescaped byte in {s:?}")));
         } else {
             out.push(bytes[i]);
             i += 1;
@@ -122,33 +151,282 @@ pub fn unescape(s: &str) -> Result<String, WireError> {
     String::from_utf8(out).map_err(|_| wire_err("escape decodes to invalid utf-8"))
 }
 
-/// Splits `key=value` with the exact expected key.
-fn field<'a>(token: &'a str, key: &str) -> Result<&'a str, WireError> {
-    token
-        .strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or_else(|| wire_err(format!("expected {key}=.., got {token:?}")))
-}
-
-fn parse_num<T: FromStr>(token: &str, key: &str) -> Result<T, WireError> {
-    field(token, key)?
-        .parse::<T>()
-        .map_err(|_| wire_err(format!("bad number in {token:?}")))
-}
-
 // ---------------------------------------------------------------------
-// Errors on the wire
+// Field types: one text token and one binary record each
 // ---------------------------------------------------------------------
 
-/// `&'static str` fields cross the wire by value and must decode back
-/// to statics; the codec only accepts the strings the crate actually
-/// produces (anything else is a [`WireError`], never a leak).
-fn known_static(s: &str, table: &[&'static str]) -> Result<&'static str, WireError> {
-    table
-        .iter()
-        .find(|&&k| k == s)
-        .copied()
-        .ok_or_else(|| wire_err(format!("unknown static string {s:?}")))
+/// A field type's text token and binary record. `Value` is the Rust
+/// type it carries; marker types ([`Line`], [`Esc`], [`Hex`], …) give
+/// one Rust type several wire spellings.
+pub(crate) trait Field {
+    /// The carried Rust type.
+    type Value;
+    /// The token runs to the end of the frame (it may contain the
+    /// field separator), so it must be the variant's last field.
+    const REST: bool = false;
+    fn put_text(v: &Self::Value, out: &mut String);
+    fn take_text(s: &str) -> Result<Self::Value, WireError>;
+    /// Leave the field out of the text form entirely (trailing
+    /// optionals only).
+    fn omit(_: &Self::Value) -> bool {
+        false
+    }
+    /// The value of a trailing field the text form left out.
+    fn absent() -> Option<Self::Value> {
+        None
+    }
+    /// The binary record; by default the text token as a string, which
+    /// is how error tokens cross the binary wire.
+    fn put_bin(v: &Self::Value, e: &mut Enc) {
+        let mut token = String::new();
+        Self::put_text(v, &mut token);
+        e.str(&token);
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<Self::Value, CodecError> {
+        Self::take_text(d.str()?).map_err(|e| CodecError::Malformed(e.to_string()))
+    }
+}
+
+/// Writes a text form: an optional name, then `key=value` fields (bare
+/// values for an empty key), the first after the head separator and
+/// the rest after the field separator.
+struct TextOut<'a> {
+    out: &'a mut String,
+    next: Option<char>,
+    sep: char,
+}
+
+impl<'a> TextOut<'a> {
+    fn new(out: &'a mut String, name: Option<(&str, char)>, sep: char) -> Self {
+        let next = name.map(|(name, head)| {
+            out.push_str(name);
+            head
+        });
+        TextOut { out, next, sep }
+    }
+
+    fn field<F: Field>(&mut self, key: &str, v: &F::Value) {
+        if F::omit(v) {
+            return;
+        }
+        if let Some(c) = self.next {
+            self.out.push(c);
+        }
+        self.next = Some(self.sep);
+        if !key.is_empty() {
+            self.out.push_str(key);
+            self.out.push('=');
+        }
+        F::put_text(v, self.out);
+    }
+}
+
+/// Reads the fields [`TextOut`] wrote, in order; [`TextIn::finish`]
+/// rejects anything left over.
+struct TextIn<'a> {
+    rest: Option<&'a str>,
+    sep: char,
+}
+
+impl<'a> TextIn<'a> {
+    fn new(rest: Option<&'a str>, sep: char) -> Self {
+        TextIn { rest, sep }
+    }
+
+    fn field<F: Field>(&mut self, key: &str) -> Result<F::Value, WireError> {
+        let Some(rest) = self.rest else {
+            return F::absent().ok_or_else(|| wire_err(format!("missing field {key:?}")));
+        };
+        let (token, tail) = match rest.split_once(self.sep) {
+            Some((token, tail)) if !F::REST => (token, Some(tail)),
+            _ => (rest, None),
+        };
+        self.rest = tail;
+        let value = if key.is_empty() {
+            token
+        } else {
+            token
+                .strip_prefix(key)
+                .and_then(|v| v.strip_prefix('='))
+                .ok_or_else(|| wire_err(format!("expected {key}=.., got {token:?}")))?
+        };
+        F::take_text(value)
+    }
+
+    fn finish(self) -> Result<(), WireError> {
+        match self.rest {
+            None => Ok(()),
+            Some(extra) => Err(wire_err(format!("unexpected trailing {extra:?}"))),
+        }
+    }
+}
+
+/// Decimal unsigned integers; leading zeros and signs are not
+/// canonical.
+macro_rules! int_field {
+    ($($t:ty => $put:ident, $take:ident);* $(;)?) => {$(
+        impl Field for $t {
+            type Value = $t;
+            fn put_text(v: &$t, out: &mut String) {
+                let _ = write!(out, "{v}");
+            }
+            fn take_text(s: &str) -> Result<$t, WireError> {
+                let canonical = !(s.starts_with('+') || (s.len() > 1 && s.starts_with('0')));
+                s.parse()
+                    .ok()
+                    .filter(|_| canonical)
+                    .ok_or_else(|| wire_err(format!("bad number {s:?}")))
+            }
+            fn put_bin(v: &$t, e: &mut Enc) {
+                e.$put(*v as _);
+            }
+            fn take_bin(d: &mut Dec<'_>) -> Result<$t, CodecError> {
+                d.$take()
+            }
+        }
+    )*};
+}
+
+int_field! {
+    u64 => u64, u64;
+    u32 => u32, u32;
+    usize => u64, usize;
+}
+
+impl Field for bool {
+    type Value = bool;
+    fn put_text(v: &bool, out: &mut String) {
+        out.push_str(if *v { "true" } else { "false" });
+    }
+    fn take_text(s: &str) -> Result<bool, WireError> {
+        s.parse().map_err(|_| wire_err(format!("bad bool {s:?}")))
+    }
+    fn put_bin(v: &bool, e: &mut Enc) {
+        e.u8(u8::from(*v));
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<bool, CodecError> {
+        match d.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(CodecError::Malformed(format!("bool byte 0x{other:02x}"))),
+        }
+    }
+}
+
+/// Shortest round-trip `Display` in text (so results cross the wire
+/// bit-identically, NaN as `NaN`), IEEE-754 bits in binary.
+impl Field for f64 {
+    type Value = f64;
+    fn put_text(v: &f64, out: &mut String) {
+        let _ = write!(out, "{v}");
+    }
+    fn take_text(s: &str) -> Result<f64, WireError> {
+        let v: f64 = s
+            .parse()
+            .map_err(|_| wire_err(format!("bad number {s:?}")))?;
+        let mut canonical = String::with_capacity(s.len());
+        f64::put_text(&v, &mut canonical);
+        if canonical == s {
+            Ok(v)
+        } else {
+            Err(wire_err(format!("non-canonical number {s:?}")))
+        }
+    }
+    fn put_bin(v: &f64, e: &mut Enc) {
+        e.u64(v.to_bits());
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<f64, CodecError> {
+        Ok(f64::from_bits(d.u64()?))
+    }
+}
+
+/// A `u64` fingerprint: 16 lowercase hex digits in text.
+pub(crate) struct Hex;
+
+impl Field for Hex {
+    type Value = u64;
+    fn put_text(v: &u64, out: &mut String) {
+        let _ = write!(out, "{v:016x}");
+    }
+    fn take_text(s: &str) -> Result<u64, WireError> {
+        let canonical = s.len() == 16 && s.bytes().all(|c| matches!(c, b'0'..=b'9' | b'a'..=b'f'));
+        u64::from_str_radix(s, 16)
+            .ok()
+            .filter(|_| canonical)
+            .ok_or_else(|| wire_err(format!("bad fingerprint {s:?}")))
+    }
+    fn put_bin(v: &u64, e: &mut Enc) {
+        e.u64(*v);
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<u64, CodecError> {
+        d.u64()
+    }
+}
+
+/// A verbatim string running to the end of the frame (`spec=` lines
+/// contain spaces).
+pub(crate) struct Line;
+
+impl Field for Line {
+    type Value = String;
+    const REST: bool = true;
+    fn put_text(v: &String, out: &mut String) {
+        out.push_str(v);
+    }
+    fn take_text(s: &str) -> Result<String, WireError> {
+        Ok(s.to_string())
+    }
+    fn put_bin(v: &String, e: &mut Enc) {
+        e.str(v);
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<String, CodecError> {
+        Ok(d.str()?.to_string())
+    }
+}
+
+/// A free-form string as one [`escape`]d token.
+pub(crate) struct Esc;
+
+impl Field for Esc {
+    type Value = String;
+    fn put_text(v: &String, out: &mut String) {
+        out.push_str(&escape(v));
+    }
+    fn take_text(s: &str) -> Result<String, WireError> {
+        unescape(s)
+    }
+    fn put_bin(v: &String, e: &mut Enc) {
+        e.str(v);
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<String, CodecError> {
+        Ok(d.str()?.to_string())
+    }
+}
+
+/// `&'static str` fields, one marker type per closed set: statics
+/// cannot be minted from wire bytes, so only the strings the crate
+/// actually produces decode (anything else is a [`WireError`] or the
+/// set's fallback — never a leak).
+macro_rules! statics {
+    ($($(#[$doc:meta])* $M:ident = $all:expr, $fallback:expr;)*) => {$(
+        $(#[$doc])*
+        pub(crate) struct $M;
+
+        impl Field for $M {
+            type Value = &'static str;
+            fn put_text(v: &&'static str, out: &mut String) {
+                out.push_str(&escape(v));
+            }
+            fn take_text(s: &str) -> Result<&'static str, WireError> {
+                let s = unescape(s)?;
+                $all.iter()
+                    .find(|&&k| k == s)
+                    .copied()
+                    .or($fallback)
+                    .ok_or_else(|| wire_err(format!("unknown static string {s:?}")))
+            }
+        }
+    )*};
 }
 
 /// Every `what` the facade puts into [`BuildError::UnsupportedOnCsp`].
@@ -164,558 +442,475 @@ const KNOWN_WHATS: &[&str] = &[
     "replica batching",
 ];
 
-/// Encodes a [`BuildError`] as one token (the `combo-*` family).
-fn encode_build_error(e: &BuildError) -> String {
-    match e {
-        BuildError::ZeroReplicas => "combo-zero-replicas".into(),
-        BuildError::SchedulerNotApplicable { algorithm } => {
-            format!("combo-scheduler:algorithm={algorithm}")
-        }
-        BuildError::InvalidBernoulliProbability { p } => format!("combo-bernoulli:p={p}"),
-        BuildError::StartLength { expected, got } => {
-            format!("combo-start-length:expected={expected},got={got}")
-        }
-        BuildError::StartCount { expected, got } => {
-            format!("combo-start-count:expected={expected},got={got}")
-        }
-        BuildError::EmptyModel => "combo-empty-model".into(),
-        BuildError::StartRequiredForCsp => "combo-start-required".into(),
-        BuildError::UnsupportedOnCsp { what } => {
-            format!("combo-unsupported-on-csp:what={}", escape(what))
-        }
-        BuildError::InvalidHotPath { reason } => {
-            format!("combo-invalid-hotpath:reason={}", escape(reason))
+statics! {
+    /// The keys [`SpecError::MissingKey`] names.
+    MissingKeys = ["graph", "model"], None;
+    /// The kinds [`SpecError::UnknownScenario`] names.
+    ScenarioKinds = ["graph family", "model", "job"], None;
+    /// Unlike the small closed `key`/`kind` vocabularies, the `what`
+    /// set grows with the facade; an unrecognized value (a newer
+    /// server) degrades to a generic static instead of failing the
+    /// frame — one drifted string must not cost a client its whole
+    /// session of results.
+    Whats = KNOWN_WHATS, Some("a job the remote end rejected");
+}
+
+impl Field for Algorithm {
+    type Value = Algorithm;
+    fn put_text(v: &Algorithm, out: &mut String) {
+        let _ = write!(out, "{v}");
+    }
+    fn take_text(s: &str) -> Result<Algorithm, WireError> {
+        s.parse().map_err(wire_err)
+    }
+}
+
+/// The codec's name in text; one byte in binary.
+impl Field for Codec {
+    type Value = Codec;
+    fn put_text(v: &Codec, out: &mut String) {
+        let _ = write!(out, "{v}");
+    }
+    fn take_text(s: &str) -> Result<Codec, WireError> {
+        s.parse().map_err(wire_err)
+    }
+    fn put_bin(v: &Codec, e: &mut Enc) {
+        e.u8(match v {
+            Codec::Text => 0,
+            Codec::Binary => 1,
+        });
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<Codec, CodecError> {
+        match d.u8()? {
+            0 => Ok(Codec::Text),
+            1 => Ok(Codec::Binary),
+            other => Err(CodecError::Malformed(format!("codec byte 0x{other:02x}"))),
         }
     }
 }
 
-/// Splits an error token into `(kind, args)` and the args into the
-/// expected `key=value` list.
-fn error_args<'a>(args: &'a str, expected: &[&str]) -> Result<Vec<&'a str>, WireError> {
-    let pieces: Vec<&str> = if args.is_empty() {
-        Vec::new()
-    } else {
-        args.split(',').collect()
-    };
-    if pieces.len() != expected.len() {
-        return Err(wire_err(format!(
-            "expected arguments {expected:?}, got {args:?}"
-        )));
+/// `n/q/base64url` in text; `n`, `q` and the packed bytes in binary.
+impl Field for StateBlob {
+    type Value = StateBlob;
+    fn put_text(v: &StateBlob, out: &mut String) {
+        let _ = write!(out, "{v}");
     }
-    pieces
-        .iter()
-        .zip(expected)
-        .map(|(piece, key)| field(piece, key))
-        .collect()
-}
-
-fn decode_build_error(kind: &str, args: &str) -> Result<BuildError, WireError> {
-    Ok(match kind {
-        "combo-zero-replicas" => BuildError::ZeroReplicas,
-        "combo-scheduler" => {
-            let v = error_args(args, &["algorithm"])?;
-            BuildError::SchedulerNotApplicable {
-                algorithm: v[0].parse::<Algorithm>().map_err(wire_err)?,
-            }
-        }
-        "combo-bernoulli" => {
-            let v = error_args(args, &["p"])?;
-            BuildError::InvalidBernoulliProbability {
-                p: v[0].parse().map_err(|_| wire_err("bad p"))?,
-            }
-        }
-        "combo-start-length" => {
-            let v = error_args(args, &["expected", "got"])?;
-            BuildError::StartLength {
-                expected: v[0].parse().map_err(|_| wire_err("bad expected"))?,
-                got: v[1].parse().map_err(|_| wire_err("bad got"))?,
-            }
-        }
-        "combo-start-count" => {
-            let v = error_args(args, &["expected", "got"])?;
-            BuildError::StartCount {
-                expected: v[0].parse().map_err(|_| wire_err("bad expected"))?,
-                got: v[1].parse().map_err(|_| wire_err("bad got"))?,
-            }
-        }
-        "combo-empty-model" => BuildError::EmptyModel,
-        "combo-start-required" => BuildError::StartRequiredForCsp,
-        "combo-unsupported-on-csp" => {
-            let v = error_args(args, &["what"])?;
-            // Unlike the small closed `key`/`kind` vocabularies, the
-            // `what` set grows with the facade; an unrecognized value
-            // (a newer server) degrades to a generic static instead of
-            // failing the frame — one drifted string must not cost a
-            // client its whole session of results.
-            let what = known_static(&unescape(v[0])?, KNOWN_WHATS)
-                .unwrap_or("a job the remote end rejected");
-            BuildError::UnsupportedOnCsp { what }
-        }
-        "combo-invalid-hotpath" => {
-            let v = error_args(args, &["reason"])?;
-            BuildError::InvalidHotPath {
-                reason: unescape(v[0])?,
-            }
-        }
-        other => return Err(wire_err(format!("unknown combo error {other:?}"))),
-    })
-}
-
-/// Encodes a [`SpecError`] as one token; [`decode_spec_error`]
-/// inverts it exactly (the typed error, not just its message, crosses
-/// the wire).
-#[must_use]
-pub fn encode_spec_error(e: &SpecError) -> String {
-    match e {
-        SpecError::NotKeyValue { token } => format!("not-key-value:token={}", escape(token)),
-        SpecError::UnknownKey { key } => format!("unknown-key:key={}", escape(key)),
-        SpecError::DuplicateKey { key } => format!("duplicate-key:key={}", escape(key)),
-        SpecError::MissingKey { key } => format!("missing-key:key={}", escape(key)),
-        SpecError::UnknownScenario { kind, name } => {
-            format!(
-                "unknown-scenario:kind={},name={}",
-                escape(kind),
-                escape(name)
-            )
-        }
-        SpecError::BadValue { key, message } => {
-            format!("bad-value:key={},message={}", escape(key), escape(message))
-        }
-        SpecError::Combo(e) => encode_build_error(e),
-        SpecError::Unsupported { message } => format!("unsupported:message={}", escape(message)),
-        SpecError::JobPanicked { message } => {
-            format!("job-panicked:message={}", escape(message))
-        }
-        SpecError::ServiceStopped => "service-stopped".into(),
-        SpecError::Cancelled => "cancelled".into(),
-        SpecError::Rejected(reason) => format!("rejected:{}", encode_reject_reason(reason)),
+    fn take_text(s: &str) -> Result<StateBlob, WireError> {
+        s.parse().map_err(|e: CodecError| wire_err(e.to_string()))
+    }
+    fn put_bin(v: &StateBlob, e: &mut Enc) {
+        e.u64(v.n() as u64);
+        e.u64(v.q() as u64);
+        e.bytes(v.bytes());
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<StateBlob, CodecError> {
+        let n = d.usize()?;
+        let q = d.usize()?;
+        StateBlob::from_parts(n, q, d.bytes()?.to_vec())
     }
 }
 
-/// Encodes a [`RejectReason`] as one token; [`decode_reject_reason`]
-/// inverts it. Nested inside `rejected:` spec errors and `rejected`
-/// job events.
-#[must_use]
-pub fn encode_reject_reason(reason: &RejectReason) -> String {
-    match reason {
-        RejectReason::QueueFull { cap } => format!("queue-full:cap={cap}"),
-        RejectReason::SessionBusy { cap } => format!("session-busy:cap={cap}"),
-        RejectReason::RoundBudget { budget, cap } => {
-            format!("round-budget:budget={budget},cap={cap}")
+/// Blob tokens joined by `;` in text (their alphabet is free of every
+/// separator); a `u32` count then the records in binary.
+impl Field for Vec<StateBlob> {
+    type Value = Vec<StateBlob>;
+    fn put_text(v: &Vec<StateBlob>, out: &mut String) {
+        for (i, blob) in v.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            StateBlob::put_text(blob, out);
         }
-        RejectReason::Draining => "draining".into(),
+    }
+    fn take_text(s: &str) -> Result<Vec<StateBlob>, WireError> {
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        s.split(';').map(StateBlob::take_text).collect()
+    }
+    fn put_bin(v: &Vec<StateBlob>, e: &mut Enc) {
+        e.u32(u32::try_from(v.len()).expect("replica count fits u32"));
+        for blob in v {
+            StateBlob::put_bin(blob, e);
+        }
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<Vec<StateBlob>, CodecError> {
+        let count = d.u32()? as usize;
+        let mut states = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            states.push(StateBlob::take_bin(d)?);
+        }
+        Ok(states)
     }
 }
 
-/// Inverts [`encode_reject_reason`].
-///
-/// # Errors
-/// A [`WireError`] on an unknown kind or bad arity.
-pub fn decode_reject_reason(token: &str) -> Result<RejectReason, WireError> {
-    let (kind, args) = match token.split_once(':') {
-        Some((k, a)) => (k, a),
-        None => (token, ""),
-    };
-    Ok(match kind {
-        "queue-full" => {
-            let v = error_args(args, &["cap"])?;
-            RejectReason::QueueFull {
-                cap: v[0].parse().map_err(|_| wire_err("bad cap"))?,
+/// `-` for `None` in text; a flag byte then the value in binary.
+impl<F: Field> Field for Option<F> {
+    type Value = Option<F::Value>;
+    fn put_text(v: &Option<F::Value>, out: &mut String) {
+        match v {
+            Some(v) => F::put_text(v, out),
+            None => out.push('-'),
+        }
+    }
+    fn take_text(s: &str) -> Result<Option<F::Value>, WireError> {
+        match s {
+            "-" => Ok(None),
+            s => F::take_text(s).map(Some),
+        }
+    }
+    fn put_bin(v: &Option<F::Value>, e: &mut Enc) {
+        match v {
+            Some(v) => {
+                e.u8(1);
+                F::put_bin(v, e);
             }
+            None => e.u8(0),
         }
-        "session-busy" => {
-            let v = error_args(args, &["cap"])?;
-            RejectReason::SessionBusy {
-                cap: v[0].parse().map_err(|_| wire_err("bad cap"))?,
-            }
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<Option<F::Value>, CodecError> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => F::take_bin(d).map(Some),
+            other => Err(CodecError::Malformed(format!("option flag 0x{other:02x}"))),
         }
-        "round-budget" => {
-            let v = error_args(args, &["budget", "cap"])?;
-            RejectReason::RoundBudget {
-                budget: v[0].parse().map_err(|_| wire_err("bad budget"))?,
-                cap: v[1].parse().map_err(|_| wire_err("bad cap"))?,
-            }
-        }
-        "draining" => {
-            if !args.is_empty() {
-                return Err(wire_err("draining takes no arguments"));
-            }
-            RejectReason::Draining
-        }
-        other => return Err(wire_err(format!("unknown reject reason {other:?}"))),
-    })
-}
-
-/// Inverts [`encode_spec_error`].
-///
-/// # Errors
-/// A [`WireError`] on an unknown kind, bad arity, or a `&'static str`
-/// field whose value the crate never produces.
-pub fn decode_spec_error(token: &str) -> Result<SpecError, WireError> {
-    let (kind, args) = match token.split_once(':') {
-        Some((k, a)) => (k, a),
-        None => (token, ""),
-    };
-    Ok(match kind {
-        "not-key-value" => {
-            let v = error_args(args, &["token"])?;
-            SpecError::NotKeyValue {
-                token: unescape(v[0])?,
-            }
-        }
-        "unknown-key" => {
-            let v = error_args(args, &["key"])?;
-            SpecError::UnknownKey {
-                key: unescape(v[0])?,
-            }
-        }
-        "duplicate-key" => {
-            let v = error_args(args, &["key"])?;
-            SpecError::DuplicateKey {
-                key: unescape(v[0])?,
-            }
-        }
-        "missing-key" => {
-            let v = error_args(args, &["key"])?;
-            SpecError::MissingKey {
-                key: known_static(&unescape(v[0])?, &["graph", "model"])?,
-            }
-        }
-        "unknown-scenario" => {
-            let v = error_args(args, &["kind", "name"])?;
-            SpecError::UnknownScenario {
-                kind: known_static(&unescape(v[0])?, &["graph family", "model", "job"])?,
-                name: unescape(v[1])?,
-            }
-        }
-        "bad-value" => {
-            let v = error_args(args, &["key", "message"])?;
-            SpecError::BadValue {
-                key: unescape(v[0])?,
-                message: unescape(v[1])?,
-            }
-        }
-        "unsupported" => {
-            let v = error_args(args, &["message"])?;
-            SpecError::Unsupported {
-                message: unescape(v[0])?,
-            }
-        }
-        "job-panicked" => {
-            let v = error_args(args, &["message"])?;
-            SpecError::JobPanicked {
-                message: unescape(v[0])?,
-            }
-        }
-        "service-stopped" => {
-            if !args.is_empty() {
-                return Err(wire_err("service-stopped takes no arguments"));
-            }
-            SpecError::ServiceStopped
-        }
-        "cancelled" => {
-            if !args.is_empty() {
-                return Err(wire_err("cancelled takes no arguments"));
-            }
-            SpecError::Cancelled
-        }
-        "rejected" => SpecError::Rejected(decode_reject_reason(args)?),
-        _ if kind.starts_with("combo") => SpecError::Combo(decode_build_error(kind, args)?),
-        other => return Err(wire_err(format!("unknown error kind {other:?}"))),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Results on the wire
-// ---------------------------------------------------------------------
-
-/// Encodes a [`JobOutput`] as one token. Floats use shortest-round-trip
-/// `Display`, so the decode is bit-identical.
-fn encode_output(output: &JobOutput) -> String {
-    match output {
-        JobOutput::Run {
-            rounds,
-            n,
-            feasible,
-            fingerprint,
-            comm,
-        } => {
-            let mut s = format!(
-                "run:rounds={rounds},n={n},feasible={feasible},fingerprint={fingerprint:016x}"
-            );
-            if let Some(c) = comm {
-                s.push_str(&format!(
-                    ",comm={}/{}/{}/{}",
-                    c.rounds_seen, c.total_messages, c.total_bytes, c.total_changed
-                ));
-            }
-            s
-        }
-        JobOutput::Distribution { replicas, support } => {
-            format!("distribution:replicas={replicas},support={support}")
-        }
-        JobOutput::Tv {
-            rounds,
-            replicas,
-            tv,
-        } => format!("tv:rounds={rounds},replicas={replicas},tv={tv}"),
-        JobOutput::Coalescence {
-            trials,
-            mean_rounds,
-            std_error,
-            timeouts,
-        } => format!(
-            "coalescence:trials={trials},mean-rounds={mean_rounds},std-error={std_error},\
-             timeouts={timeouts}"
-        ),
-        JobOutput::Sample { rounds, states } => {
-            // The text fallback base64s each blob (`n/q/<base64url>`);
-            // the alphabet is free of the separators `,` `=` `:` `;`,
-            // so tokens join safely.
-            let blobs: Vec<String> = states.iter().map(|b| b.to_token()).collect();
-            format!("sample:rounds={rounds},states={}", blobs.join(";"))
-        }
-        JobOutput::Stream {
-            rounds,
-            every,
-            n,
-            states,
-            fingerprint,
-        } => format!(
-            "stream:rounds={rounds},every={every},n={n},states={states},\
-             fingerprint={fingerprint:016x}"
-        ),
     }
 }
 
-fn decode_output(token: &str) -> Result<JobOutput, WireError> {
-    let (kind, args) = token
-        .split_once(':')
-        .ok_or_else(|| wire_err(format!("expected kind:args output, got {token:?}")))?;
-    let pieces: Vec<&str> = args.split(',').collect();
-    match kind {
-        "run" => {
-            if pieces.len() != 4 && pieces.len() != 5 {
-                return Err(wire_err(format!("run output has 4-5 fields: {token:?}")));
-            }
-            let fingerprint = field(pieces[3], "fingerprint")?;
-            let comm = match pieces.get(4) {
-                None => None,
-                Some(piece) => {
-                    let parts: Vec<&str> = field(piece, "comm")?.split('/').collect();
-                    if parts.len() != 4 {
-                        return Err(wire_err(format!("comm has 4 fields: {piece:?}")));
-                    }
-                    let num = |s: &str| -> Result<u64, WireError> {
-                        s.parse()
-                            .map_err(|_| wire_err(format!("bad comm count {s:?}")))
-                    };
-                    Some(crate::spec::CommSummary {
-                        rounds_seen: num(parts[0])?,
-                        total_messages: num(parts[1])?,
-                        total_bytes: num(parts[2])?,
-                        total_changed: num(parts[3])?,
-                    })
-                }
-            };
-            Ok(JobOutput::Run {
-                rounds: parse_num(pieces[0], "rounds")?,
-                n: parse_num(pieces[1], "n")?,
-                feasible: parse_num(pieces[2], "feasible")?,
-                fingerprint: u64::from_str_radix(fingerprint, 16)
-                    .map_err(|_| wire_err(format!("bad fingerprint {fingerprint:?}")))?,
-                comm,
-            })
+/// A trailing optional: left out of the text form when `None`; binary
+/// as `Option`.
+pub(crate) struct Tail<F>(PhantomData<F>);
+
+impl<F: Field> Field for Tail<F> {
+    type Value = Option<F::Value>;
+    fn put_text(v: &Option<F::Value>, out: &mut String) {
+        if let Some(v) = v {
+            F::put_text(v, out);
         }
-        "distribution" => {
-            if pieces.len() != 2 {
-                return Err(wire_err(format!("distribution has 2 fields: {token:?}")));
-            }
-            Ok(JobOutput::Distribution {
-                replicas: parse_num(pieces[0], "replicas")?,
-                support: parse_num(pieces[1], "support")?,
-            })
-        }
-        "tv" => {
-            if pieces.len() != 3 {
-                return Err(wire_err(format!("tv has 3 fields: {token:?}")));
-            }
-            Ok(JobOutput::Tv {
-                rounds: parse_num(pieces[0], "rounds")?,
-                replicas: parse_num(pieces[1], "replicas")?,
-                tv: parse_num(pieces[2], "tv")?,
-            })
-        }
-        "coalescence" => {
-            if pieces.len() != 4 {
-                return Err(wire_err(format!("coalescence has 4 fields: {token:?}")));
-            }
-            Ok(JobOutput::Coalescence {
-                trials: parse_num(pieces[0], "trials")?,
-                mean_rounds: parse_num(pieces[1], "mean-rounds")?,
-                std_error: parse_num(pieces[2], "std-error")?,
-                timeouts: parse_num(pieces[3], "timeouts")?,
-            })
-        }
-        "sample" => {
-            if pieces.len() != 2 {
-                return Err(wire_err(format!("sample has 2 fields: {token:?}")));
-            }
-            let blobs = field(pieces[1], "states")?;
-            let states = blobs
-                .split(';')
-                .filter(|t| !t.is_empty())
-                .map(|t| {
-                    t.parse::<crate::codec::StateBlob>()
-                        .map_err(|e| wire_err(e.to_string()))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Ok(JobOutput::Sample {
-                rounds: parse_num(pieces[0], "rounds")?,
-                states,
-            })
-        }
-        "stream" => {
-            if pieces.len() != 5 {
-                return Err(wire_err(format!("stream has 5 fields: {token:?}")));
-            }
-            let fingerprint = field(pieces[4], "fingerprint")?;
-            Ok(JobOutput::Stream {
-                rounds: parse_num(pieces[0], "rounds")?,
-                every: parse_num(pieces[1], "every")?,
-                n: parse_num(pieces[2], "n")?,
-                states: parse_num(pieces[3], "states")?,
-                fingerprint: u64::from_str_radix(fingerprint, 16)
-                    .map_err(|_| wire_err(format!("bad fingerprint {fingerprint:?}")))?,
-            })
-        }
-        other => Err(wire_err(format!("unknown output kind {other:?}"))),
+    }
+    fn take_text(s: &str) -> Result<Option<F::Value>, WireError> {
+        F::take_text(s).map(Some)
+    }
+    fn omit(v: &Option<F::Value>) -> bool {
+        v.is_none()
+    }
+    fn absent() -> Option<Option<F::Value>> {
+        Some(None)
+    }
+    fn put_bin(v: &Option<F::Value>, e: &mut Enc) {
+        Option::<F>::put_bin(v, e);
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<Option<F::Value>, CodecError> {
+        Option::<F>::take_bin(d)
     }
 }
 
-/// The wire form: `elapsed=<secs> output=<output> spec=<canonical spec
-/// line>`. The spec comes last and runs to the end of the line (it
-/// contains spaces).
-impl fmt::Display for JobResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "elapsed={} output={} spec={}",
-            self.elapsed_secs,
-            encode_output(&self.output),
-            self.spec
-        )
+/// `rounds/messages/bytes/changed` in text; four `u64`s in binary.
+impl Field for CommSummary {
+    type Value = CommSummary;
+    fn put_text(c: &CommSummary, out: &mut String) {
+        let mut w = TextOut::new(out, None, '/');
+        for count in [
+            c.rounds_seen,
+            c.total_messages,
+            c.total_bytes,
+            c.total_changed,
+        ] {
+            w.field::<u64>("", &count);
+        }
+    }
+    fn take_text(s: &str) -> Result<CommSummary, WireError> {
+        let mut r = TextIn::new(Some(s), '/');
+        let c = CommSummary {
+            rounds_seen: r.field::<u64>("")?,
+            total_messages: r.field::<u64>("")?,
+            total_bytes: r.field::<u64>("")?,
+            total_changed: r.field::<u64>("")?,
+        };
+        r.finish()?;
+        Ok(c)
+    }
+    fn put_bin(c: &CommSummary, e: &mut Enc) {
+        for count in [
+            c.rounds_seen,
+            c.total_messages,
+            c.total_bytes,
+            c.total_changed,
+        ] {
+            e.u64(count);
+        }
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<CommSummary, CodecError> {
+        Ok(CommSummary {
+            rounds_seen: d.u64()?,
+            total_messages: d.u64()?,
+            total_bytes: d.u64()?,
+            total_changed: d.u64()?,
+        })
     }
 }
 
-impl FromStr for JobResult {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (elapsed, rest) = s
-            .split_once(' ')
-            .ok_or_else(|| wire_err(format!("result needs 3 fields: {s:?}")))?;
-        let (output, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| wire_err(format!("result needs 3 fields: {s:?}")))?;
+/// The text form is `elapsed=<secs> output=<output> spec=<canonical
+/// spec line>` (the spec runs to the end of the line); the binary
+/// record is the spec, the elapsed bits, then the output.
+impl Field for JobResult {
+    type Value = JobResult;
+    const REST: bool = true;
+    fn put_text(v: &JobResult, out: &mut String) {
+        let mut w = TextOut::new(out, None, ' ');
+        w.field::<f64>("elapsed", &v.elapsed_secs);
+        w.field::<JobOutput>("output", &v.output);
+        w.field::<Line>("spec", &v.spec);
+    }
+    fn take_text(s: &str) -> Result<JobResult, WireError> {
+        let mut r = TextIn::new(Some(s), ' ');
+        let result = JobResult {
+            elapsed_secs: r.field::<f64>("elapsed")?,
+            output: r.field::<JobOutput>("output")?,
+            spec: r.field::<Line>("spec")?,
+        };
+        r.finish()?;
+        Ok(result)
+    }
+    fn put_bin(v: &JobResult, e: &mut Enc) {
+        Line::put_bin(&v.spec, e);
+        f64::put_bin(&v.elapsed_secs, e);
+        JobOutput::put_bin(&v.output, e);
+    }
+    fn take_bin(d: &mut Dec<'_>) -> Result<JobResult, CodecError> {
+        let spec = Line::take_bin(d)?;
+        let elapsed_secs = f64::take_bin(d)?;
         Ok(JobResult {
-            elapsed_secs: parse_num(elapsed, "elapsed")?,
-            output: decode_output(field(output, "output")?)?,
-            spec: field(rest, "spec")?.to_string(),
+            spec,
+            output: JobOutput::take_bin(d)?,
+            elapsed_secs,
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// Events on the wire
+// The schema
 // ---------------------------------------------------------------------
 
-/// The wire form: `accepted`, `rejected <reason>`, `started`,
-/// `progress round=<r> of=<n>`, `finished <result>`, `failed <error>`,
-/// `cancelled`, `state round=<r> blob=<n/q/base64url>` (the text
-/// fallback for full-state delivery).
-impl fmt::Display for JobEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobEvent::Accepted => f.write_str("accepted"),
-            JobEvent::Rejected { reason } => {
-                write!(f, "rejected {}", encode_reject_reason(reason))
+/// Declares one enum's wire forms:
+///
+/// ```text
+/// wire! { Type, '<head sep>' '<field sep>', "<what>", rest: <bool>, tagged {
+///     Variant "name" TAG { field: FieldType, other "key": FieldType },
+///     Tuple "name" TAG { 0 binding: FieldType },
+/// } }
+/// ```
+///
+/// A field's text key defaults to its name (`""` writes a bare value;
+/// tuple payloads are bare). `tagged` enums write a tag byte and the
+/// fields' records in binary; `token` enums (no tags) cross the binary
+/// wire as their text token, and may end with one `Variant _ { 0
+/// binding: FieldType }` row whose payload is written in place of the
+/// variant, without a name of its own. `rest` marks a type that runs to
+/// the end of an enclosing frame.
+macro_rules! wire {
+    ($T:ident, $head:literal $sep:literal, $what:literal, rest: $rest:literal, tagged {
+        $($V:ident $name:tt $tag:literal {
+            $($f:tt $($b:ident)? $($key:literal)? : $c:ty),* $(,)?
+        }),* $(,)?
+    }) => {
+        wire!(@impl $T, $head $sep, $what, $rest, {
+            $($V $name { $($f $($b)? $($key)? : $c),* }),*
+        }, {
+            fn put_bin(v: &$T, e: &mut Enc) {
+                match v {
+                    $($T::$V { $($f: wire!(@bind $f $($b)?)),* } => {
+                        e.u8($tag);
+                        $(<$c as Field>::put_bin(wire!(@bind $f $($b)?), e);)*
+                    })*
+                }
             }
-            JobEvent::Started => f.write_str("started"),
-            JobEvent::Progress { round, of } => write!(f, "progress round={round} of={of}"),
-            JobEvent::Finished(result) => write!(f, "finished {result}"),
-            JobEvent::Failed(e) => write!(f, "failed {}", encode_spec_error(e)),
-            JobEvent::Cancelled => f.write_str("cancelled"),
-            JobEvent::State { round, blob } => {
-                write!(f, "state round={round} blob={}", blob.to_token())
+            fn take_bin(d: &mut Dec<'_>) -> Result<$T, CodecError> {
+                Ok(match d.u8()? {
+                    $($tag => $T::$V { $($f: <$c as Field>::take_bin(d)?),* },)*
+                    tag => {
+                        return Err(CodecError::Malformed(format!(
+                            concat!($what, " tag 0x{:02x}"),
+                            tag
+                        )))
+                    }
+                })
             }
+        });
+    };
+    ($T:ident, $head:literal $sep:literal, $what:literal, rest: $rest:literal, token {
+        $($V:ident $name:tt {
+            $($f:tt $($b:ident)? $($key:literal)? : $c:ty),* $(,)?
+        }),* $(,)?
+    }) => {
+        wire!(@impl $T, $head $sep, $what, $rest, {
+            $($V $name { $($f $($b)? $($key)? : $c),* }),*
+        }, {});
+    };
+    (@impl $T:ident, $head:literal $sep:literal, $what:literal, $rest:literal, {
+        $($V:ident $name:tt { $($f:tt $($b:ident)? $($key:literal)? : $c:ty),* }),*
+    }, { $($binary:tt)* }) => {
+        impl Field for $T {
+            type Value = $T;
+            const REST: bool = $rest;
+            fn put_text(v: &$T, out: &mut String) {
+                match v {
+                    $($T::$V { $($f: wire!(@bind $f $($b)?)),* } => {
+                        #[allow(unused_mut, unused_variables)]
+                        let mut w = wire!(@out out $name $head $sep);
+                        $(w.field::<$c>(wire!(@key $f $($key)?), wire!(@bind $f $($b)?));)*
+                    })*
+                }
+            }
+            fn take_text(s: &str) -> Result<$T, WireError> {
+                let (name, rest) = match s.split_once($head) {
+                    Some((name, rest)) => (name, Some(rest)),
+                    None => (s, None),
+                };
+                #[allow(unreachable_patterns)]
+                let value = match name {
+                    $($name => {
+                        #[allow(unused_mut)]
+                        let mut r = wire!(@in s rest $name $sep);
+                        let value = $T::$V { $($f: r.field::<$c>(wire!(@key $f $($key)?))?),* };
+                        r.finish()?;
+                        value
+                    })*
+                    other => {
+                        return Err(wire_err(format!(concat!("unknown ", $what, " {:?}"), other)))
+                    }
+                };
+                Ok(value)
+            }
+            $($binary)*
         }
-    }
+    };
+    (@bind $f:tt $b:ident) => { $b };
+    (@bind $f:ident) => { $f };
+    (@key $f:tt $key:literal) => { $key };
+    (@key 0) => { "" };
+    (@key $f:ident) => { stringify!($f) };
+    (@out $out:ident _ $head:literal $sep:literal) => { TextOut::new($out, None, $sep) };
+    (@out $out:ident $name:literal $head:literal $sep:literal) => {
+        TextOut::new($out, Some(($name, $head)), $sep)
+    };
+    (@in $s:ident $rest:ident _ $sep:literal) => { TextIn::new(Some($s), $sep) };
+    (@in $s:ident $rest:ident $name:literal $sep:literal) => { TextIn::new($rest, $sep) };
 }
 
-impl FromStr for JobEvent {
-    type Err = WireError;
+wire! { ClientFrame, ' ' ' ', "client frame", rest: false, tagged {
+    Submit "submit" 0x01 { id: u64, spec: Line },
+    Cancel "cancel" 0x02 { id: u64 },
+    Shutdown "shutdown" 0x03 {},
+    Hello "hello" 0x04 { codec: Codec },
+    Ping "ping" 0x05 { nonce: u64 },
+    ShardInit "shard-init" 0x06 { id: u64, shard: u32, of: u32, spec: Line },
+    ShardSync "shard-sync" 0x07 { id: u64, round: u64, blob: StateBlob },
+} }
 
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (kind, rest) = match s.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (s, ""),
-        };
-        match kind {
-            "accepted" | "started" | "cancelled" => {
-                if !rest.is_empty() {
-                    return Err(wire_err(format!("{kind} takes no arguments: {s:?}")));
-                }
-                Ok(match kind {
-                    "accepted" => JobEvent::Accepted,
-                    "started" => JobEvent::Started,
-                    _ => JobEvent::Cancelled,
-                })
+wire! { ServerFrame, ' ' ' ', "server frame", rest: false, tagged {
+    Submitted "submitted" 0x81 { id: u64, jobs: u64 },
+    Event "event" 0x82 { id: u64, index: u64, event "": JobEvent },
+    Error "error" 0x83 { id: Option<u64>, message: Esc },
+    Hello "hello" 0x84 { codec: Codec },
+    Pong "pong" 0x85 { nonce: u64 },
+    ShardSync "shard-sync" 0x86 { id: u64, round: u64, blob: StateBlob },
+    ShardDone "shard-done" 0x87 { id: u64, rounds: u64, blob: StateBlob },
+} }
+
+wire! { JobEvent, ' ' ' ', "event", rest: true, tagged {
+    Accepted "accepted" 1 {},
+    Rejected "rejected" 2 { reason "": RejectReason },
+    Started "started" 3 {},
+    Progress "progress" 4 { round: u64, of: u64 },
+    Finished "finished" 5 { 0 result: JobResult },
+    Failed "failed" 6 { 0 error: SpecError },
+    Cancelled "cancelled" 7 {},
+    State "state" 8 { round: u64, blob: StateBlob },
+} }
+
+wire! { JobOutput, ':' ',', "output kind", rest: false, tagged {
+    Run "run" 1 { rounds: u64, n: usize, feasible: bool, fingerprint: Hex, comm: Tail<CommSummary> },
+    Distribution "distribution" 2 { replicas: u64, support: usize },
+    Tv "tv" 3 { rounds: usize, replicas: usize, tv: f64 },
+    Coalescence "coalescence" 4 {
+        trials: usize,
+        mean_rounds "mean-rounds": f64,
+        std_error "std-error": f64,
+        timeouts: usize,
+    },
+    Sample "sample" 5 { rounds: u64, states: Vec<StateBlob> },
+    Stream "stream" 6 { rounds: u64, every: usize, n: usize, states: u64, fingerprint: Hex },
+} }
+
+wire! { RejectReason, ':' ',', "reject reason", rest: true, token {
+    QueueFull "queue-full" { cap: usize },
+    SessionBusy "session-busy" { cap: usize },
+    RoundBudget "round-budget" { budget: u64, cap: u64 },
+    Draining "draining" {},
+} }
+
+wire! { SpecError, ':' ',', "error kind", rest: true, token {
+    NotKeyValue "not-key-value" { token: Esc },
+    UnknownKey "unknown-key" { key: Esc },
+    DuplicateKey "duplicate-key" { key: Esc },
+    MissingKey "missing-key" { key: MissingKeys },
+    UnknownScenario "unknown-scenario" { kind: ScenarioKinds, name: Esc },
+    BadValue "bad-value" { key: Esc, message: Esc },
+    Unsupported "unsupported" { message: Esc },
+    JobPanicked "job-panicked" { message: Esc },
+    ServiceStopped "service-stopped" {},
+    Cancelled "cancelled" {},
+    Rejected "rejected" { 0 reason: RejectReason },
+    Combo _ { 0 error: BuildError },
+} }
+
+wire! { BuildError, ':' ',', "error kind", rest: true, token {
+    ZeroReplicas "combo-zero-replicas" {},
+    SchedulerNotApplicable "combo-scheduler" { algorithm: Algorithm },
+    InvalidBernoulliProbability "combo-bernoulli" { p: f64 },
+    StartLength "combo-start-length" { expected: usize, got: usize },
+    StartCount "combo-start-count" { expected: usize, got: usize },
+    EmptyModel "combo-empty-model" {},
+    StartRequiredForCsp "combo-start-required" {},
+    UnsupportedOnCsp "combo-unsupported-on-csp" { what: Whats },
+    InvalidHotPath "combo-invalid-hotpath" { reason: Esc },
+} }
+
+/// `Display` prints the text wire form; `FromStr` parses exactly that.
+macro_rules! text_form {
+    ($($T:ty),*) => {$(
+        impl fmt::Display for $T {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut s = String::new();
+                <$T as Field>::put_text(self, &mut s);
+                f.write_str(&s)
             }
-            "rejected" => {
-                if rest.contains(' ') {
-                    return Err(wire_err(format!("rejected takes one reason token: {s:?}")));
-                }
-                Ok(JobEvent::Rejected {
-                    reason: decode_reject_reason(rest)?,
-                })
-            }
-            "progress" => {
-                let (round, of) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("progress needs round and of: {s:?}")))?;
-                Ok(JobEvent::Progress {
-                    round: parse_num(round, "round")?,
-                    of: parse_num(of, "of")?,
-                })
-            }
-            "finished" => Ok(JobEvent::Finished(rest.parse()?)),
-            "failed" => {
-                if rest.contains(' ') {
-                    return Err(wire_err(format!("failed takes one error token: {s:?}")));
-                }
-                Ok(JobEvent::Failed(decode_spec_error(rest)?))
-            }
-            "state" => {
-                let (round, blob) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("state needs round and blob: {s:?}")))?;
-                Ok(JobEvent::State {
-                    round: parse_num(round, "round")?,
-                    blob: field(blob, "blob")?
-                        .parse()
-                        .map_err(|e: crate::codec::CodecError| wire_err(e.to_string()))?,
-                })
-            }
-            other => Err(wire_err(format!("unknown event {other:?}"))),
         }
-    }
+        impl FromStr for $T {
+            type Err = WireError;
+            fn from_str(s: &str) -> Result<Self, WireError> {
+                <$T as Field>::take_text(s)
+            }
+        }
+    )*};
+}
+
+text_form!(ClientFrame, ServerFrame, JobEvent, JobResult);
+
+/// Parses a [`SpecError`] token (what `failed <error>` events carry):
+/// the typed error, not just its message, crosses the wire.
+///
+/// # Errors
+/// A [`WireError`] on an unknown kind, bad arity, or a `&'static str`
+/// field whose value the crate never produces.
+pub fn decode_spec_error(token: &str) -> Result<SpecError, WireError> {
+    SpecError::take_text(token)
 }
 
 // ---------------------------------------------------------------------
 // Session frames
 // ---------------------------------------------------------------------
-
 /// A client → server frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClientFrame {
@@ -788,133 +983,6 @@ pub enum ClientFrame {
     },
 }
 
-impl fmt::Display for ClientFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClientFrame::Submit { id, spec } => write!(f, "submit id={id} spec={spec}"),
-            ClientFrame::Cancel { id } => write!(f, "cancel id={id}"),
-            ClientFrame::Shutdown => f.write_str("shutdown"),
-            ClientFrame::Hello { codec } => write!(f, "hello codec={codec}"),
-            ClientFrame::Ping { nonce } => write!(f, "ping nonce={nonce}"),
-            ClientFrame::ShardInit {
-                id,
-                shard,
-                of,
-                spec,
-            } => write!(f, "shard-init id={id} shard={shard} of={of} spec={spec}"),
-            ClientFrame::ShardSync { id, round, blob } => {
-                write!(
-                    f,
-                    "shard-sync id={id} round={round} blob={}",
-                    blob.to_token()
-                )
-            }
-        }
-    }
-}
-
-impl FromStr for ClientFrame {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (kind, rest) = match s.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (s, ""),
-        };
-        match kind {
-            "submit" => {
-                let (id, spec) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("submit needs id and spec: {s:?}")))?;
-                Ok(ClientFrame::Submit {
-                    id: parse_num(id, "id")?,
-                    spec: field(spec, "spec")?.to_string(),
-                })
-            }
-            "cancel" => {
-                if rest.contains(' ') {
-                    return Err(wire_err(format!("cancel takes only an id: {s:?}")));
-                }
-                Ok(ClientFrame::Cancel {
-                    id: parse_num(rest, "id")?,
-                })
-            }
-            "shutdown" => {
-                if !rest.is_empty() {
-                    return Err(wire_err(format!("shutdown takes no arguments: {s:?}")));
-                }
-                Ok(ClientFrame::Shutdown)
-            }
-            "hello" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("hello takes codec=<name>: {s:?}")));
-                }
-                Ok(ClientFrame::Hello {
-                    codec: field(rest, "codec")?.parse().map_err(wire_err)?,
-                })
-            }
-            "ping" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("ping takes nonce=<n>: {s:?}")));
-                }
-                Ok(ClientFrame::Ping {
-                    nonce: parse_num(rest, "nonce")?,
-                })
-            }
-            "shard-init" => {
-                let mut pieces = rest.splitn(4, ' ');
-                let (id, shard, of, spec) =
-                    match (pieces.next(), pieces.next(), pieces.next(), pieces.next()) {
-                        (Some(id), Some(shard), Some(of), Some(spec)) => (id, shard, of, spec),
-                        _ => {
-                            return Err(wire_err(format!(
-                                "shard-init needs id, shard, of, spec: {s:?}"
-                            )))
-                        }
-                    };
-                Ok(ClientFrame::ShardInit {
-                    id: parse_num(id, "id")?,
-                    shard: parse_num(shard, "shard")?,
-                    of: parse_num(of, "of")?,
-                    spec: field(spec, "spec")?.to_string(),
-                })
-            }
-            "shard-sync" => {
-                let (id, round, blob) = split3(s, rest, "shard-sync")?;
-                Ok(ClientFrame::ShardSync {
-                    id: parse_num(id, "id")?,
-                    round: parse_num(round, "round")?,
-                    blob: parse_blob(blob)?,
-                })
-            }
-            other => Err(wire_err(format!(
-                "unknown client frame {other:?} (expected submit | cancel | shutdown | hello \
-                 | ping | shard-init | shard-sync)"
-            ))),
-        }
-    }
-}
-
-/// Splits a frame body into exactly three space-separated tokens.
-fn split3<'a>(
-    s: &str,
-    rest: &'a str,
-    kind: &str,
-) -> Result<(&'a str, &'a str, &'a str), WireError> {
-    let mut pieces = rest.split(' ');
-    match (pieces.next(), pieces.next(), pieces.next(), pieces.next()) {
-        (Some(a), Some(b), Some(c), None) => Ok((a, b, c)),
-        _ => Err(wire_err(format!("{kind} needs exactly 3 fields: {s:?}"))),
-    }
-}
-
-/// Parses a `blob=<n/q/base64url>` token.
-fn parse_blob(token: &str) -> Result<crate::codec::StateBlob, WireError> {
-    field(token, "blob")?
-        .parse()
-        .map_err(|e: crate::codec::CodecError| wire_err(e.to_string()))
-}
-
 /// A server → client frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerFrame {
@@ -978,125 +1046,6 @@ pub enum ServerFrame {
         /// Owned-vertex spins, packed in ascending vertex order.
         blob: crate::codec::StateBlob,
     },
-}
-
-impl fmt::Display for ServerFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServerFrame::Submitted { id, jobs } => write!(f, "submitted id={id} jobs={jobs}"),
-            ServerFrame::Event { id, index, event } => {
-                write!(f, "event id={id} index={index} {event}")
-            }
-            ServerFrame::Error { id, message } => {
-                write!(f, "error id=")?;
-                match id {
-                    Some(id) => write!(f, "{id}")?,
-                    None => write!(f, "-")?,
-                }
-                write!(f, " message={}", escape(message))
-            }
-            ServerFrame::Hello { codec } => write!(f, "hello codec={codec}"),
-            ServerFrame::Pong { nonce } => write!(f, "pong nonce={nonce}"),
-            ServerFrame::ShardSync { id, round, blob } => {
-                write!(
-                    f,
-                    "shard-sync id={id} round={round} blob={}",
-                    blob.to_token()
-                )
-            }
-            ServerFrame::ShardDone { id, rounds, blob } => {
-                write!(
-                    f,
-                    "shard-done id={id} rounds={rounds} blob={}",
-                    blob.to_token()
-                )
-            }
-        }
-    }
-}
-
-impl FromStr for ServerFrame {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (kind, rest) = match s.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (s, ""),
-        };
-        match kind {
-            "submitted" => {
-                let (id, jobs) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("submitted needs id and jobs: {s:?}")))?;
-                Ok(ServerFrame::Submitted {
-                    id: parse_num(id, "id")?,
-                    jobs: parse_num(jobs, "jobs")?,
-                })
-            }
-            "event" => {
-                let (id, rest) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("event needs id, index, body: {s:?}")))?;
-                let (index, body) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("event needs id, index, body: {s:?}")))?;
-                Ok(ServerFrame::Event {
-                    id: parse_num(id, "id")?,
-                    index: parse_num(index, "index")?,
-                    event: body.parse()?,
-                })
-            }
-            "error" => {
-                let (id, message) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("error needs id and message: {s:?}")))?;
-                let id = match field(id, "id")? {
-                    "-" => None,
-                    n => Some(
-                        n.parse()
-                            .map_err(|_| wire_err(format!("bad error id {n:?}")))?,
-                    ),
-                };
-                Ok(ServerFrame::Error {
-                    id,
-                    message: unescape(field(message, "message")?)?,
-                })
-            }
-            "hello" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("hello takes codec=<name>: {s:?}")));
-                }
-                Ok(ServerFrame::Hello {
-                    codec: field(rest, "codec")?.parse().map_err(wire_err)?,
-                })
-            }
-            "pong" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("pong takes nonce=<n>: {s:?}")));
-                }
-                Ok(ServerFrame::Pong {
-                    nonce: parse_num(rest, "nonce")?,
-                })
-            }
-            "shard-sync" => {
-                let (id, round, blob) = split3(s, rest, "shard-sync")?;
-                Ok(ServerFrame::ShardSync {
-                    id: parse_num(id, "id")?,
-                    round: parse_num(round, "round")?,
-                    blob: parse_blob(blob)?,
-                })
-            }
-            "shard-done" => {
-                let (id, rounds, blob) = split3(s, rest, "shard-done")?;
-                Ok(ServerFrame::ShardDone {
-                    id: parse_num(id, "id")?,
-                    rounds: parse_num(rounds, "rounds")?,
-                    blob: parse_blob(blob)?,
-                })
-            }
-            other => Err(wire_err(format!("unknown server frame {other:?}"))),
-        }
-    }
 }
 
 #[cfg(test)]

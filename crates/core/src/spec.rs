@@ -295,27 +295,8 @@ impl GraphSpec {
             }
             parse_int::<usize>(KEY, args)
         };
-        // Empty vertex sets are rejected here, not deep in a worker:
-        // replica jobs on a 0-vertex model would otherwise panic the
-        // engine (the facade's EmptyModel check covers only `build()`).
-        let nonzero = |key_name: &str, n: usize| -> Result<usize, SpecError> {
-            if n == 0 {
-                Err(bad(KEY, format!("{key_name} needs at least 1 vertex")))
-            } else {
-                Ok(n)
-            }
-        };
-        // Size arithmetic is checked: a product that overflows usize
-        // must become a BadValue, not a debug-build panic (or a
-        // silently wrapped size in release).
-        let checked_area = |key_name: &str, a: usize, b: usize| -> Result<usize, SpecError> {
-            a.checked_mul(b)
-                .ok_or_else(|| bad(KEY, format!("{key_name} size {a}x{b} overflows")))
-        };
         let spec = match name {
-            "path" => GraphSpec::Path {
-                n: nonzero("path", one("a size")?)?,
-            },
+            "path" => GraphSpec::Path { n: one("a size")? },
             "cycle" => {
                 let n = one("a size")?;
                 if n < 3 {
@@ -323,21 +304,14 @@ impl GraphSpec {
                 }
                 GraphSpec::Cycle { n }
             }
-            "complete" => GraphSpec::Complete {
-                n: nonzero("complete", one("a size")?)?,
-            },
+            "complete" => GraphSpec::Complete { n: one("a size")? },
             "complete-bipartite" => {
                 let (a, b) = parse_axb(KEY, args)?;
-                let n = a.checked_add(b).ok_or_else(|| {
-                    bad(KEY, format!("complete-bipartite size {a}+{b} overflows"))
-                })?;
-                nonzero("complete-bipartite", n)?;
                 GraphSpec::CompleteBipartite { a, b }
             }
             "star" => GraphSpec::Star { n: one("a size")? },
             "grid" => {
                 let (rows, cols) = parse_axb(KEY, args)?;
-                nonzero("grid", checked_area("grid", rows, cols)?)?;
                 GraphSpec::Grid { rows, cols }
             }
             "torus" => {
@@ -345,7 +319,6 @@ impl GraphSpec {
                 if rows < 3 || cols < 3 {
                     return Err(bad(KEY, "torus sides must be >= 3"));
                 }
-                checked_area("torus", rows, cols)?;
                 GraphSpec::Torus { rows, cols }
             }
             "hypercube" => {
@@ -365,15 +338,11 @@ impl GraphSpec {
             },
             "caterpillar" => {
                 let (spine, legs) = parse_axb(KEY, args)?;
-                nonzero("caterpillar", spine)?;
-                checked_area("caterpillar", spine, legs)?
-                    .checked_add(spine)
-                    .ok_or_else(|| bad(KEY, "caterpillar size overflows"))?;
                 GraphSpec::Caterpillar { spine, legs }
             }
             "gnp" => {
                 let vals = parse_named(KEY, args, &["n", "p"])?;
-                let n = nonzero("gnp", parse_int::<usize>(KEY, &vals[0])?)?;
+                let n = parse_int::<usize>(KEY, &vals[0])?;
                 let p = parse_int::<f64>(KEY, &vals[1])?;
                 if !(0.0..=1.0).contains(&p) {
                     return Err(bad(KEY, format!("gnp probability {p} not in [0, 1]")));
@@ -384,7 +353,9 @@ impl GraphSpec {
                 let vals = parse_named(KEY, args, &["n", "d"])?;
                 let n = parse_int::<usize>(KEY, &vals[0])?;
                 let d = parse_int::<usize>(KEY, &vals[1])?;
-                let stubs = checked_area("random-regular", n, d)?;
+                let stubs = n
+                    .checked_mul(d)
+                    .ok_or_else(|| bad(KEY, format!("random-regular size {n}x{d} overflows")))?;
                 if stubs % 2 != 0 {
                     return Err(bad(KEY, "random-regular needs n*d even"));
                 }
@@ -396,7 +367,7 @@ impl GraphSpec {
             "random-tree" => {
                 let vals = parse_named(KEY, args, &["n"])?;
                 GraphSpec::RandomTree {
-                    n: nonzero("random-tree", parse_int::<usize>(KEY, &vals[0])?)?,
+                    n: parse_int::<usize>(KEY, &vals[0])?,
                 }
             }
             other => {
@@ -406,7 +377,39 @@ impl GraphSpec {
                 })
             }
         };
-        Ok(spec)
+        // Sizes are admitted here, not deep in a worker: an empty
+        // vertex set would panic replica jobs in the engine, and a size
+        // past `u32` (or one that wraps `usize`) would panic the graph
+        // builder.
+        match spec.num_vertices() {
+            Some(0) => Err(bad(KEY, format!("{name} needs at least 1 vertex"))),
+            Some(n) if n <= u32::MAX as usize => Ok(spec),
+            _ => Err(bad(
+                KEY,
+                format!("{name} has more than {} vertices", u32::MAX),
+            )),
+        }
+    }
+
+    /// The number of vertices the family builds, in closed form;
+    /// `None` when the count overflows `usize`.
+    pub fn num_vertices(&self) -> Option<usize> {
+        match *self {
+            GraphSpec::Path { n }
+            | GraphSpec::Cycle { n }
+            | GraphSpec::Complete { n }
+            | GraphSpec::Gnp { n, .. }
+            | GraphSpec::RandomRegular { n, .. }
+            | GraphSpec::RandomTree { n } => Some(n),
+            GraphSpec::CompleteBipartite { a, b } => a.checked_add(b),
+            GraphSpec::Star { n } => n.checked_add(1),
+            GraphSpec::Grid { rows, cols } | GraphSpec::Torus { rows, cols } => {
+                rows.checked_mul(cols)
+            }
+            GraphSpec::Hypercube { dim } => 1usize.checked_shl(dim),
+            GraphSpec::Book { pages } => pages.checked_add(2),
+            GraphSpec::Caterpillar { spine, legs } => spine.checked_mul(legs)?.checked_add(spine),
+        }
     }
 
     /// Builds the graph. Random families draw from a generator seeded
@@ -2311,6 +2314,36 @@ mod tests {
     }
 
     #[test]
+    fn graph_sizes_past_u32_are_parse_errors() {
+        // Each line is well formed; built, its size would panic the
+        // graph builder (u32 assert, or `n + 1` wrapping to 0).
+        for line in [
+            "graph=complete:5000000000 model=ising:beta=0.4",
+            "graph=star:18446744073709551615 model=ising:beta=0.4",
+            "graph=book:18446744073709551615 model=ising:beta=0.4",
+            "graph=torus:70000x70000 model=ising:beta=0.4",
+        ] {
+            match line.parse::<JobSpec>() {
+                Err(SpecError::BadValue { key, .. }) => assert_eq!(key, "graph", "{line}"),
+                other => panic!("{line} should be a bad graph value, got {other:?}"),
+            }
+        }
+        let sizes = [
+            ("star:4", 5),
+            ("book:3", 5),
+            ("caterpillar:3x2", 9),
+            ("complete-bipartite:2x3", 5),
+            ("hypercube:4", 16),
+            ("torus:3x4", 12),
+        ];
+        for (graph, n) in sizes {
+            let spec = GraphSpec::parse(graph).unwrap();
+            assert_eq!(spec.num_vertices(), Some(n), "{graph}");
+            assert_eq!(spec.build(0).num_vertices(), n, "{graph}");
+        }
+    }
+
+    #[test]
     fn typed_errors_cover_the_failure_modes() {
         assert!(matches!(
             "graph=torus:8x8".parse::<JobSpec>(),
@@ -2393,6 +2426,17 @@ mod tests {
                 assert!(feasible);
                 assert!(comm.is_none(), "flat backends have no comm record");
             }
+            other => panic!("wrong output: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn soft_model_runs_report_feasible_past_weight_underflow() {
+        // The final state's weight underflows f64 on a 32x32 torus;
+        // feasibility must not.
+        let spec = parse("graph=torus:32x32 model=ising:beta=0.4 job=run:rounds=50");
+        match spec.run().unwrap().output {
+            JobOutput::Run { feasible, .. } => assert!(feasible),
             other => panic!("wrong output: {other:?}"),
         }
     }

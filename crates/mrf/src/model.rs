@@ -229,9 +229,19 @@ impl Mrf {
         lw
     }
 
-    /// Whether `µ(σ) > 0`.
+    /// Whether `µ(σ) > 0`: no edge or vertex factor of `σ` is zero.
+    /// Decided factor by factor, never through the product, which
+    /// underflows to `0.0` on large soft models.
     pub fn is_feasible(&self, config: &[Spin]) -> bool {
-        self.weight(config) > 0.0
+        self.check_config(config);
+        self.graph.edges().all(|(e, u, v)| {
+            self.edge_activity(e)
+                .get(config[u.index()], config[v.index()])
+                > 0.0
+        }) && self
+            .graph
+            .vertices()
+            .all(|v| self.vertex_activity(v).get(config[v.index()]) > 0.0)
     }
 
     /// The unnormalized conditional marginal of eq. (2) at `v`:
@@ -441,6 +451,20 @@ mod tests {
         assert_eq!(mrf.weight(&[0, 0, 1]), 0.0);
         assert!(mrf.log_weight(&[0, 0, 1]).is_infinite());
         assert_eq!(mrf.log_weight(&[0, 1, 2]), 0.0);
+    }
+
+    #[test]
+    fn feasibility_survives_weight_underflow() {
+        // 2048 agreeing edges at activity 0.4: the product underflows
+        // to 0.0, yet every factor is positive.
+        let ising = models::ising(generators::torus(32, 32), 0.4);
+        let all_zero = vec![0; 1024];
+        assert_eq!(ising.weight(&all_zero), 0.0);
+        assert!(ising.is_feasible(&all_zero));
+        // A zero factor still decides infeasibility.
+        let coloring = models::proper_coloring(generators::path(3), 3);
+        assert!(coloring.is_feasible(&[0, 1, 0]));
+        assert!(!coloring.is_feasible(&[0, 0, 1]));
     }
 
     #[test]
