@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsl_core::sampler::{Algorithm, Sampler};
 use lsl_core::single_site::ScanChain;
-use lsl_core::Chain;
 use lsl_graph::generators;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::models;

@@ -41,20 +41,22 @@ use std::io::{self, Write};
 use std::str::FromStr;
 
 /// Upper bound on one binary frame's payload, enforced on both encode
-/// and decode. A length prefix above this answers a typed error and the
-/// session resynchronizes after the 4 header bytes.
+/// and decode, and on one text line. A length prefix above this answers
+/// a typed error and the session resynchronizes after the 4 header
+/// bytes; an over-long text line answers a typed error and the session
+/// resumes after its `\n`.
 pub const MAX_FRAME: usize = 16 << 20;
 
 // ---------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------
 
-/// Why a binary frame failed to decode.
+/// Why a frame failed to cut or a binary frame failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
-    /// The length prefix exceeds [`MAX_FRAME`].
+    /// A binary length prefix or a text line exceeds [`MAX_FRAME`].
     Oversize {
-        /// The claimed payload length.
+        /// The claimed payload length, or the line bytes seen so far.
         len: u64,
     },
     /// The payload ended before the record it promised.
@@ -536,10 +538,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// bytes arrive with [`FrameBuffer::extend`], pull complete frames with
 /// [`FrameBuffer::next_as`] — length-prefixed payloads on a binary
 /// session, `\n`-terminated lines on a text one. Bytes buffered across
-/// a codec switch are cut under the new codec.
+/// a codec switch are cut under the new codec. Both cuts are bounded by
+/// [`MAX_FRAME`], so no peer can grow the buffer without limit.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Inside an over-cap text line: drop bytes through its `\n`.
+    skip_line: bool,
 }
 
 impl FrameBuffer {
@@ -565,16 +570,48 @@ impl FrameBuffer {
     }
 
     /// Pops the next complete frame under `codec`: a binary payload
-    /// ([`FrameBuffer::next_frame`]) or a text line without its `\n`.
-    /// `Ok(None)` if more bytes are needed.
+    /// ([`FrameBuffer::next_frame`]) or a text line without its `\n`
+    /// ([`FrameBuffer::next_line`]). `Ok(None)` if more bytes are needed.
     pub fn next_as(&mut self, codec: Codec) -> Result<Option<Vec<u8>>, CodecError> {
         match codec {
             Codec::Binary => self.next_frame(),
-            Codec::Text => Ok(self.buf.iter().position(|&b| b == b'\n').map(|pos| {
+            Codec::Text => self.next_line(),
+        }
+    }
+
+    /// Pops the next `\n`-terminated line without its `\n`, `Ok(None)`
+    /// if more bytes are needed. A line longer than [`MAX_FRAME`]
+    /// returns [`CodecError::Oversize`] once and is discarded through
+    /// its `\n` — even before that `\n` arrives — so the session can
+    /// answer a typed error and resume at the next line.
+    pub fn next_line(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
+        let newline = self.buf.iter().position(|&b| b == b'\n');
+        if self.skip_line {
+            let Some(pos) = newline else {
+                self.buf.clear();
+                return Ok(None);
+            };
+            self.buf.drain(..=pos);
+            self.skip_line = false;
+            return self.next_line();
+        }
+        match newline {
+            Some(pos) if pos <= MAX_FRAME => {
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
                 line.pop();
-                line
-            })),
+                Ok(Some(line))
+            }
+            Some(pos) => {
+                self.buf.drain(..=pos);
+                Err(CodecError::Oversize { len: pos as u64 })
+            }
+            None if self.buf.len() > MAX_FRAME => {
+                let len = self.buf.len() as u64;
+                self.buf.clear();
+                self.skip_line = true;
+                Err(CodecError::Oversize { len })
+            }
+            None => Ok(None),
         }
     }
 

@@ -14,7 +14,7 @@
 //! filter of Algorithm 2, which [`csp_local_metropolis_kernel`]'s tests
 //! verify by comparing kernels entrywise against the MRF chain.
 
-use crate::Chain;
+use crate::sampler::Chain;
 use lsl_analysis::Kernel;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::csp::{Constraint, Csp};
@@ -57,9 +57,10 @@ pub fn constraint_pass_probability(
     p
 }
 
-/// LocalMetropolis over a weighted local CSP.
+/// LocalMetropolis over a weighted local CSP, built only by the sampler
+/// facade.
 ///
-/// # Example (preferred construction: the sampler facade)
+/// # Example
 /// ```
 /// use lsl_core::prelude::*;
 /// use lsl_graph::generators;
@@ -77,7 +78,7 @@ pub fn constraint_pass_probability(
 /// assert!(csp.is_feasible(sampler.state()));
 /// ```
 #[derive(Clone, Debug)]
-pub struct CspLocalMetropolis {
+pub(crate) struct CspLocalMetropolis {
     csp: Arc<Csp>,
     state: Vec<Spin>,
     proposals: Vec<Spin>,
@@ -89,10 +90,7 @@ impl CspLocalMetropolis {
     ///
     /// # Panics
     /// Panics if the start has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_csp(&csp).algorithm(Algorithm::LocalMetropolis).start(start).build()`")]
-    pub fn new(csp: impl Into<Arc<Csp>>, start: Vec<Spin>) -> Self {
-        let csp = csp.into();
+    pub(crate) fn new(csp: Arc<Csp>, start: Vec<Spin>) -> Self {
         assert_eq!(start.len(), csp.graph().num_vertices());
         let n = start.len();
         CspLocalMetropolis {
@@ -101,11 +99,6 @@ impl CspLocalMetropolis {
             proposals: vec![0; n],
             accept: vec![false; n],
         }
-    }
-
-    /// The CSP this chain samples from.
-    pub fn csp(&self) -> &Csp {
-        &self.csp
     }
 }
 
@@ -146,7 +139,8 @@ impl Chain for CspLocalMetropolis {
     }
 }
 
-/// The exact transition kernel of [`CspLocalMetropolis`] on a small CSP,
+/// The exact transition kernel of the CSP LocalMetropolis chain (what
+/// `Sampler::for_csp(..).algorithm(Algorithm::LocalMetropolis)` runs) on a small CSP,
 /// by enumerating proposal vectors and constraint-coin patterns.
 ///
 /// # Panics
@@ -216,10 +210,8 @@ pub fn csp_local_metropolis_kernel(csp: &Csp) -> Kernel {
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructor is the surface under test here.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::sampler::{Algorithm, Sampler};
     use lsl_graph::generators;
     use lsl_mrf::models;
     use std::sync::Arc;
@@ -310,10 +302,14 @@ mod tests {
     fn hard_constraints_preserve_feasibility() {
         let csp = Csp::maximal_independent_set(Arc::new(generators::cycle(5)));
         let sols = csp.enumerate();
-        let mut chain = CspLocalMetropolis::new(&csp, sols[0].0.clone());
-        let mut rng = Xoshiro256pp::seed_from(5);
+        let mut chain = Sampler::for_csp(&csp)
+            .algorithm(Algorithm::LocalMetropolis)
+            .start(sols[0].0.clone())
+            .seed(5)
+            .build()
+            .unwrap();
         for _ in 0..200 {
-            chain.step(&mut rng);
+            chain.step();
             assert!(csp.is_feasible(chain.state()));
         }
     }
@@ -322,14 +318,18 @@ mod tests {
     fn dominating_set_sampling_converges() {
         use lsl_analysis::EmpiricalDistribution;
         use lsl_mrf::gibbs::encode_config;
-        let csp = Csp::dominating_set(Arc::new(generators::path(3)));
+        let csp = Arc::new(Csp::dominating_set(Arc::new(generators::path(3))));
         let sols = csp.enumerate();
         let mut emp = EmpiricalDistribution::new();
         let reps = 20_000u64;
         for rep in 0..reps {
-            let mut rng = Xoshiro256pp::seed_from(2_000 + rep);
-            let mut chain = CspLocalMetropolis::new(&csp, vec![1, 1, 1]);
-            chain.run(80, &mut rng);
+            let mut chain = Sampler::for_csp(Arc::clone(&csp))
+                .algorithm(Algorithm::LocalMetropolis)
+                .start(vec![1, 1, 1])
+                .seed(2_000 + rep)
+                .build()
+                .unwrap();
+            chain.run(80);
             emp.record(encode_config(chain.state(), 2));
         }
         for (sol, _) in &sols {

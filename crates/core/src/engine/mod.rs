@@ -618,9 +618,11 @@ impl<R: SyncRule> SyncChain<R> {
     }
 
     /// Advances one round whose randomness is keyed by an externally
-    /// supplied master seed (used by the [`crate::Chain`] adapters, which
-    /// derive per-step masters from the caller's generator so that grand
-    /// couplings keep working through the legacy interface).
+    /// supplied master seed (behind [`Sampler::step_keyed`]: callers
+    /// that feed identical keys to several chains realize a grand
+    /// coupling).
+    ///
+    /// [`Sampler::step_keyed`]: crate::sampler::Sampler::step_keyed
     pub fn step_keyed(&mut self, master: u64) {
         let ctx = RoundCtx::new(&self.mrf, master, self.round);
         let workers = self.workers.min(self.scratches.len());

@@ -57,12 +57,45 @@ impl HeatBathScratch {
 
 /// Algorithm 2 (LocalMetropolis) as a vertex-step rule.
 ///
-/// Propose phase: `σ_v ∼ b_v`. Resolve phase: `v` accepts iff every
-/// incident edge's shared coin passes the three-factor filter
-/// `Ã_e(σ_u, σ_v) · Ã_e(X_u, σ_v) · Ã_e(σ_u, X_v)`. Coins with pass
-/// probability exactly 0 or 1 are decided without consulting the coin
-/// stream (identically in every backend), which makes hard-constraint
-/// models — where *every* coin is deterministic — coin-free.
+/// Each step (paper §4):
+///
+/// 1. **Propose** — every vertex independently proposes `σ_v ∈ [q]` with
+///    probability proportional to `b_v(σ_v)`;
+/// 2. **Local filter** — every edge `e = uv` flips one shared coin that
+///    comes up HEADS with probability
+///    `Ã_e(σ_u, σ_v) · Ã_e(X_u, σ_v) · Ã_e(σ_u, X_v)`;
+/// 3. a vertex accepts its proposal iff *all* incident edges passed.
+///
+/// For proper colorings the filter degenerates to three hard rules
+/// (reject if `σ_v = X_u`, `σ_v = σ_u`, or `X_v = σ_u` for some neighbor
+/// `u`). The paper remarks that the third rule "looks redundant" but is
+/// required for reversibility — [`LocalMetropolisRule::without_rule3`]
+/// exposes that ablation, and the exact-kernel experiment E9 shows
+/// dropping it yields a *wrong* stationary distribution.
+///
+/// Theorem 4.2: for proper `q`-colorings with `q ≥ α∆`, `α > 2+√2`,
+/// `∆ ≥ 9`, the chain mixes in `O(log(n/ε))` rounds — independent of Δ.
+///
+/// In the engine, coins with pass probability exactly 0 or 1 are decided
+/// without consulting the coin stream (identically in every backend),
+/// which makes hard-constraint models — where *every* coin is
+/// deterministic — coin-free.
+///
+/// # Example (through the sampler facade)
+/// ```
+/// use lsl_core::prelude::*;
+/// use lsl_graph::generators;
+/// use lsl_mrf::models;
+///
+/// let mrf = models::proper_coloring(generators::complete_bipartite(6, 6), 24);
+/// let mut sampler = Sampler::for_mrf(&mrf)
+///     .algorithm(Algorithm::LocalMetropolis)
+///     .seed(2)
+///     .build()
+///     .unwrap();
+/// sampler.run(50);
+/// assert!(mrf.is_feasible(sampler.state()));
+/// ```
 #[derive(Clone, Debug)]
 pub struct LocalMetropolisRule {
     rule3: bool,
@@ -79,11 +112,6 @@ impl LocalMetropolisRule {
     /// quantifies the failure).
     pub fn without_rule3() -> Self {
         LocalMetropolisRule { rule3: false }
-    }
-
-    /// Whether the full filter is active.
-    pub fn rule3_enabled(&self) -> bool {
-        self.rule3
     }
 }
 
@@ -168,10 +196,37 @@ impl SyncRule for LocalMetropolisRule {
 /// Algorithm 1 (LubyGlauber) as a vertex-step rule, generic over the
 /// independent-set scheduler.
 ///
+/// Each round: sample a random independent set `I` (by default the Luby
+/// step), then resample every `v ∈ I` in parallel from its conditional
+/// marginal µ_v(·|X_Γ(v)) (paper eq. 2). Because `I` is independent and
+/// marginals read only neighbors (which are not in `I`), the parallel
+/// resampling is well defined.
+///
+/// Theorem 3.2: under Dobrushin's condition (total influence `α < 1`) the
+/// chain mixes in `O(Δ/(1−α) · log(n/ε))` rounds — and more generally
+/// `O(1/((1−α)γ) · log(n/ε))` for any scheduler with `Pr[v ∈ I] ≥ γ`.
+///
 /// Propose phase: the scheduler's per-vertex mark (the Luby `β_v`, a
 /// Bernoulli volunteer bit, ...). Resolve phase: vertices the scheduler
 /// selects resample from their conditional marginal µ_v(· | X_Γ(v));
 /// everyone else keeps their spin.
+///
+/// # Example (through the sampler facade)
+/// ```
+/// use lsl_core::prelude::*;
+/// use lsl_graph::generators;
+/// use lsl_mrf::models;
+///
+/// let mrf = models::proper_coloring(generators::torus(4, 4), 10);
+/// let mut sampler = Sampler::for_mrf(&mrf)
+///     .algorithm(Algorithm::LubyGlauber)
+///     .scheduler(Sched::Luby)
+///     .seed(5)
+///     .build()
+///     .unwrap();
+/// sampler.run(80);
+/// assert!(mrf.is_feasible(sampler.state()));
+/// ```
 #[derive(Clone, Debug)]
 pub struct LubyGlauberRule<S: VertexScheduler = LubyScheduler> {
     scheduler: S,
@@ -273,9 +328,25 @@ pub fn scheduled_mask<S: VertexScheduler>(
     }
 }
 
-/// The single-site heat-bath Glauber dynamics as an engine rule: each
-/// round, the round-shared stream picks one vertex, which resamples from
-/// its conditional marginal.
+/// The single-site heat-bath Glauber dynamics of §3 as an engine rule:
+/// each round, the round-shared stream picks one vertex, which resamples
+/// from its conditional marginal (eq. 2). Mixes in
+/// `O(n/(1−α) · log(n/ε))` steps under Dobrushin's condition.
+///
+/// # Example (through the sampler facade)
+/// ```
+/// use lsl_core::prelude::*;
+/// use lsl_graph::generators;
+/// use lsl_mrf::models;
+///
+/// let mrf = models::proper_coloring(generators::cycle(8), 5);
+/// let mut sampler = Sampler::for_mrf(&mrf)
+///     .algorithm(Algorithm::Glauber)
+///     .build()
+///     .unwrap();
+/// sampler.run(200);
+/// assert!(mrf.is_feasible(sampler.state()));
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GlauberRule;
 
@@ -320,9 +391,11 @@ impl SyncRule for GlauberRule {
     }
 }
 
-/// The single-site Metropolis chain as an engine rule: the active vertex
-/// proposes `c ∼ b_v` and accepts with probability
-/// `Π_{u ∼ v} Ã_uv(c, X_u)`.
+/// The single-site Metropolis chain as an engine rule (footnote 2 of the
+/// paper): the active vertex proposes `c ∼ b_v` and accepts with
+/// probability `Π_{u ∼ v} Ã_uv(c, X_u)`. This is LocalMetropolis
+/// restricted to one updating vertex, so it shares its stationary
+/// distribution.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MetropolisRule;
 

@@ -1,207 +1,32 @@
-//! Algorithm 2: the LocalMetropolis chain.
-//!
-//! Each step (paper §4):
-//!
-//! 1. **Propose** — every vertex independently proposes `σ_v ∈ [q]` with
-//!    probability proportional to `b_v(σ_v)`;
-//! 2. **Local filter** — every edge `e = uv` flips one shared coin that
-//!    comes up HEADS with probability
-//!    `Ã_e(σ_u, σ_v) · Ã_e(X_u, σ_v) · Ã_e(σ_u, X_v)`;
-//! 3. a vertex accepts its proposal iff *all* incident edges passed.
-//!
-//! For proper colorings the filter degenerates to three hard rules
-//! (reject if `σ_v = X_u`, `σ_v = σ_u`, or `X_v = σ_u` for some neighbor
-//! `u`). The paper remarks that the third rule "looks redundant" but is
-//! required for reversibility — [`LocalMetropolis::without_rule3`] exposes
-//! that ablation, and the exact-kernel experiment E9 shows dropping it
-//! yields a *wrong* stationary distribution.
-//!
-//! Theorem 4.2: for proper `q`-colorings with `q ≥ α∆`, `α > 2+√2`,
-//! `∆ ≥ 9`, the chain mixes in `O(log(n/ε))` rounds — independent of Δ.
+//! Exact-law tests of Algorithm 2 (LocalMetropolis) through the facade's
+//! `tv` job, the production path. The chain itself is
+//! [`LocalMetropolisRule`](crate::engine::rules::LocalMetropolisRule).
 
-use crate::engine::rules::LocalMetropolisRule;
-use crate::engine::{Backend, SyncChain, SyncRule};
-use crate::Chain;
-use lsl_local::rng::Xoshiro256pp;
-use lsl_mrf::{Mrf, Spin};
-use std::sync::Arc;
-
-/// The LocalMetropolis chain (Algorithm 2), running on the step engine:
-/// the chain logic lives in
-/// [`LocalMetropolisRule`],
-/// and this wrapper adapts it to the [`Chain`] interface (each step's
-/// randomness is keyed by one draw from the caller's generator, so
-/// identically seeded generators still realize the grand coupling).
-///
-/// # Example (preferred construction: the sampler facade)
-/// ```
-/// use lsl_core::prelude::*;
-/// use lsl_graph::generators;
-/// use lsl_mrf::models;
-///
-/// let mrf = models::proper_coloring(generators::complete_bipartite(6, 6), 24);
-/// let mut sampler = Sampler::for_mrf(&mrf)
-///     .algorithm(Algorithm::LocalMetropolis)
-///     .seed(2)
-///     .build()
-///     .unwrap();
-/// sampler.run(50);
-/// assert!(mrf.is_feasible(sampler.state()));
-/// ```
-#[derive(Debug)]
-pub struct LocalMetropolis {
-    inner: SyncChain<LocalMetropolisRule>,
-}
-
-impl LocalMetropolis {
-    /// Creates the chain with the deterministic default start.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LocalMetropolis).build()`")]
-    pub fn new(mrf: impl Into<Arc<Mrf>>) -> Self {
-        LocalMetropolis {
-            inner: crate::sampler::wire(
-                mrf,
-                LocalMetropolisRule::new(),
-                0,
-                None,
-                Backend::Sequential,
-            ),
-        }
-    }
-
-    /// Creates the chain from an explicit start.
-    ///
-    /// # Panics
-    /// Panics if the configuration has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LocalMetropolis).start(state).build()`")]
-    pub fn with_state(mrf: impl Into<Arc<Mrf>>, state: Vec<Spin>) -> Self {
-        LocalMetropolis {
-            inner: crate::sampler::wire(
-                mrf,
-                LocalMetropolisRule::new(),
-                0,
-                Some(state),
-                Backend::Sequential,
-            ),
-        }
-    }
-
-    /// The ablated chain that *omits* the third filter factor
-    /// `Ã_e(σ_u, X_v)` ("the neighbor proposed v's current color").
-    ///
-    /// The paper warns this rule is "necessary to guarantee the
-    /// reversibility of the chain as well as the uniform stationary
-    /// distribution"; experiment E9 verifies the failure exactly.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LocalMetropolisNoRule3).build()`")]
-    pub fn without_rule3(mrf: impl Into<Arc<Mrf>>) -> Self {
-        LocalMetropolis {
-            inner: crate::sampler::wire(
-                mrf,
-                LocalMetropolisRule::without_rule3(),
-                0,
-                None,
-                Backend::Sequential,
-            ),
-        }
-    }
-
-    /// Whether the full (correct) filter is active.
-    pub fn rule3_enabled(&self) -> bool {
-        self.inner.rule().rule3_enabled()
-    }
-
-    /// The model this chain samples from.
-    pub fn mrf(&self) -> &Mrf {
-        self.inner.mrf()
-    }
-
-    /// Switches the execution backend (trajectories are unaffected — see
-    /// the engine's determinism contract).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.inner.set_backend(backend);
-    }
-
-    /// The pass probability of edge `e` for current spins `(xu, xv)` and
-    /// proposals `(su, sv)` under this chain's filter configuration.
-    #[inline]
-    pub fn pass_probability(
-        &self,
-        e: lsl_graph::EdgeId,
-        xu: Spin,
-        xv: Spin,
-        su: Spin,
-        sv: Spin,
-    ) -> f64 {
-        let a = self.inner.mrf().edge_activity(e);
-        let p = a.normalized(su, sv) * a.normalized(xu, sv);
-        if self.rule3_enabled() {
-            p * a.normalized(su, xv)
-        } else {
-            p
-        }
-    }
-}
-
-impl Chain for LocalMetropolis {
-    fn state(&self) -> &[Spin] {
-        self.inner.state()
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        self.inner.set_state(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        // One draw keys the whole round; coupled callers hand identical
-        // generators and thus identical round keys.
-        self.inner.step_keyed(rng.next());
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.rule().name()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    // The legacy constructors are the surface under test here.
-    #![allow(deprecated)]
-
-    use super::*;
-    use lsl_analysis::EmpiricalDistribution;
+    use crate::sampler::{Algorithm, Sampler};
     use lsl_graph::generators;
-    use lsl_mrf::gibbs::{encode_config, Enumeration};
-    use lsl_mrf::models;
+    use lsl_mrf::gibbs::Enumeration;
+    use lsl_mrf::{models, Mrf};
 
-    fn chain_tv(
-        mut make: impl FnMut() -> LocalMetropolis,
-        q: usize,
-        steps: usize,
-        replicas: u64,
-        exact: &Enumeration,
-    ) -> f64 {
-        let mut emp = EmpiricalDistribution::new();
-        for rep in 0..replicas {
-            let mut chain = make();
-            let mut rng = Xoshiro256pp::seed_from(77 + rep);
-            chain.run(steps, &mut rng);
-            emp.record(encode_config(chain.state(), q));
-        }
-        emp.tv_against_dense(&exact.distribution())
+    /// Exact TV after `steps` rounds over `replicas` iid copies.
+    fn facade_tv(mrf: &Mrf, alg: Algorithm, steps: usize, replicas: usize) -> f64 {
+        let exact = Enumeration::new(mrf).unwrap();
+        Sampler::for_mrf(mrf)
+            .algorithm(alg)
+            .seed(77)
+            .tv(&exact, steps, replicas)
+            .unwrap()
     }
 
     #[test]
     fn never_moves_to_less_proper() {
         // Once feasible, stays feasible (absorption, Thm 4.1 proof).
         let mrf = models::proper_coloring(generators::torus(4, 4), 8);
-        let mut chain = LocalMetropolis::new(&mrf);
-        let mut rng = Xoshiro256pp::seed_from(4);
-        chain.run(30, &mut rng);
+        let mut chain = Sampler::for_mrf(&mrf).seed(4).build().unwrap();
+        chain.run(30);
         assert!(mrf.is_feasible(chain.state()));
         for _ in 0..50 {
-            chain.step(&mut rng);
+            chain.step();
             assert!(mrf.is_feasible(chain.state()));
         }
     }
@@ -211,112 +36,63 @@ mod tests {
         // Start all-same-color (maximally infeasible); with q ≥ Δ+2 the
         // chain must become proper quickly.
         let mrf = models::proper_coloring(generators::cycle(8), 5);
-        let mut chain = LocalMetropolis::with_state(&mrf, vec![0; 8]);
-        let mut rng = Xoshiro256pp::seed_from(6);
+        let mut chain = Sampler::for_mrf(&mrf)
+            .start(vec![0; 8])
+            .seed(6)
+            .build()
+            .unwrap();
         let mut feasible_at = None;
         for t in 0..200 {
             if mrf.is_feasible(chain.state()) {
                 feasible_at = Some(t);
                 break;
             }
-            chain.step(&mut rng);
+            chain.step();
         }
         assert!(feasible_at.is_some(), "never became proper");
     }
 
     #[test]
     fn samples_gibbs_colorings_small() {
-        let mrf = std::sync::Arc::new(models::proper_coloring(generators::cycle(4), 4));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LocalMetropolis::new(std::sync::Arc::clone(&mrf)),
-            4,
-            80,
-            8000,
-            &exact,
-        );
+        let mrf = models::proper_coloring(generators::cycle(4), 4);
+        let tv = facade_tv(&mrf, Algorithm::LocalMetropolis, 80, 8000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn samples_soft_constraint_models() {
         // Ising (soft activities exercise the fractional coin path).
-        let mrf = std::sync::Arc::new(models::ising(generators::path(3), 0.6));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LocalMetropolis::new(std::sync::Arc::clone(&mrf)),
-            2,
-            80,
-            8000,
-            &exact,
-        );
+        let mrf = models::ising(generators::path(3), 0.6);
+        let tv = facade_tv(&mrf, Algorithm::LocalMetropolis, 80, 8000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn samples_hardcore() {
-        let mrf = std::sync::Arc::new(models::hardcore(generators::path(3), 1.0));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LocalMetropolis::new(std::sync::Arc::clone(&mrf)),
-            2,
-            60,
-            8000,
-            &exact,
-        );
+        let mrf = models::hardcore(generators::path(3), 1.0);
+        let tv = facade_tv(&mrf, Algorithm::LocalMetropolis, 60, 8000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn rule3_chain_correct_where_ablation_differs() {
-        // The full chain stays correct on instances where the rule-3
-        // ablation changes the transition structure (the exact-kernel
-        // tests in `kernel` quantify the ablation's failure).
-        let mrf = std::sync::Arc::new(models::proper_coloring(generators::path(3), 3));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let good = chain_tv(
-            || LocalMetropolis::new(std::sync::Arc::clone(&mrf)),
-            3,
-            400,
-            8000,
-            &exact,
-        );
+        // The full chain stays correct on an instance where the rule-3
+        // ablation converges to a wrong law (exact stationary TV 0.2,
+        // experiment E9). The ablation is the negative control: the
+        // same check, steps and replica count must reject it.
+        let mrf = models::proper_coloring(generators::path(3), 3);
+        let good = facade_tv(&mrf, Algorithm::LocalMetropolis, 400, 8000);
         assert!(good < 0.05, "good = {good}");
-    }
-
-    #[test]
-    fn coloring_filter_rules_truth_table() {
-        let mrf = models::proper_coloring(generators::path(2), 4);
-        let chain = LocalMetropolis::new(&mrf);
-        let e = lsl_graph::EdgeId(0);
-        // (xu, xv, su, sv) → pass?
-        // No conflicts: pass with certainty.
-        assert_eq!(chain.pass_probability(e, 0, 1, 2, 3), 1.0);
-        // Rule 1 at v: v proposed u's current color (sv = xu).
-        assert_eq!(chain.pass_probability(e, 0, 1, 2, 0), 0.0);
-        // Rule 2: identical proposals.
-        assert_eq!(chain.pass_probability(e, 0, 1, 3, 3), 0.0);
-        // Rule 3: u proposed v's current color (su = xv).
-        assert_eq!(chain.pass_probability(e, 0, 1, 1, 3), 0.0);
-        // Ablated chain ignores rule 3 only.
-        let ablated = LocalMetropolis::without_rule3(&mrf);
-        assert_eq!(ablated.pass_probability(e, 0, 1, 1, 3), 1.0);
-        assert_eq!(ablated.pass_probability(e, 0, 1, 2, 0), 0.0);
+        let ablated = facade_tv(&mrf, Algorithm::LocalMetropolisNoRule3, 400, 8000);
+        assert!(ablated > 0.1, "ablated = {ablated}");
     }
 
     #[test]
     fn large_degree_still_correct() {
         // Star with q = 2Δ? LocalMetropolis correctness (not mixing speed)
         // only needs the chain rules; test on a star with ample colors.
-        let mrf = std::sync::Arc::new(models::proper_coloring(generators::star(3), 4));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LocalMetropolis::new(std::sync::Arc::clone(&mrf)),
-            4,
-            300,
-            20_000,
-            &exact,
-        );
+        let mrf = models::proper_coloring(generators::star(3), 4);
+        let tv = facade_tv(&mrf, Algorithm::LocalMetropolis, 300, 20_000);
         assert!(tv < 0.06, "tv = {tv}");
     }
 }

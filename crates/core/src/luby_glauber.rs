@@ -1,154 +1,19 @@
-//! Algorithm 1: the LubyGlauber chain.
-//!
-//! Each round: sample a random independent set `I` (by default the Luby
-//! step), then resample every `v ∈ I` in parallel from its conditional
-//! marginal µ_v(·|X_Γ(v)) (paper eq. 2). Because `I` is independent and
-//! marginals read only neighbors (which are not in `I`), the "parallel"
-//! resampling is implemented as an in-place sweep over `I` with identical
-//! semantics.
-//!
-//! Theorem 3.2: under Dobrushin's condition (total influence `α < 1`) the
-//! chain mixes in `O(Δ/(1−α) · log(n/ε))` rounds — and more generally
-//! `O(1/((1−α)γ) · log(n/ε))` for any scheduler with `Pr[v ∈ I] ≥ γ`.
+//! The weighted-CSP variant of Algorithm 1 (LubyGlauber); the MRF chain
+//! itself is [`LubyGlauberRule`](crate::engine::rules::LubyGlauberRule).
 
-use crate::engine::rules::{scheduled_mask, LubyGlauberRule};
-use crate::engine::{Backend, RoundCtx, SyncChain};
-use crate::schedule::{LubyScheduler, Scheduler, VertexScheduler};
-use crate::Chain;
+use crate::sampler::Chain;
+use crate::schedule::Scheduler;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::csp::Csp;
-use lsl_mrf::{Mrf, Spin};
+use lsl_mrf::Spin;
 use std::sync::Arc;
-
-/// The LubyGlauber chain (Algorithm 1), generic over the independent-set
-/// scheduler and running on the step engine: the chain logic lives in
-/// [`LubyGlauberRule`], and this
-/// wrapper adapts it to the [`Chain`] interface (each step's randomness
-/// is keyed by one draw from the caller's generator, preserving grand
-/// couplings through the legacy interface).
-///
-/// # Example (preferred construction: the sampler facade)
-/// ```
-/// use lsl_core::prelude::*;
-/// use lsl_graph::generators;
-/// use lsl_mrf::models;
-///
-/// let mrf = models::proper_coloring(generators::torus(4, 4), 10);
-/// let mut sampler = Sampler::for_mrf(&mrf)
-///     .algorithm(Algorithm::LubyGlauber)
-///     .scheduler(Sched::Luby)
-///     .seed(5)
-///     .build()
-///     .unwrap();
-/// sampler.run(80);
-/// assert!(mrf.is_feasible(sampler.state()));
-/// ```
-#[derive(Debug)]
-pub struct LubyGlauber<S: VertexScheduler = LubyScheduler> {
-    inner: SyncChain<LubyGlauberRule<S>>,
-    mask: Vec<bool>,
-}
-
-impl LubyGlauber<LubyScheduler> {
-    /// Creates the chain with the paper's Luby-step scheduler and the
-    /// deterministic default start.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LubyGlauber).build()`")]
-    pub fn new(mrf: impl Into<Arc<Mrf>>) -> Self {
-        Self::wire(mrf, LubyScheduler::new())
-    }
-}
-
-impl<S: VertexScheduler> LubyGlauber<S> {
-    /// Creates the chain with a custom scheduler.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LubyGlauber).scheduler(sched)\
-                .build()` with the matching `Sched` variant")]
-    pub fn with_scheduler(mrf: impl Into<Arc<Mrf>>, scheduler: S) -> Self {
-        Self::wire(mrf, scheduler)
-    }
-
-    /// The shared wiring behind both deprecated constructors.
-    fn wire(mrf: impl Into<Arc<Mrf>>, scheduler: S) -> Self {
-        let mrf = mrf.into();
-        let n = mrf.num_vertices();
-        LubyGlauber {
-            inner: crate::sampler::wire(
-                mrf,
-                LubyGlauberRule::with_scheduler(scheduler),
-                0,
-                None,
-                Backend::Sequential,
-            ),
-            mask: vec![false; n],
-        }
-    }
-
-    /// The model this chain samples from.
-    pub fn mrf(&self) -> &Mrf {
-        self.inner.mrf()
-    }
-
-    /// The scheduler in use.
-    pub fn scheduler(&self) -> &S {
-        self.inner.rule().scheduler()
-    }
-
-    /// Switches the execution backend (trajectories are unaffected — see
-    /// the engine's determinism contract).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.inner.set_backend(backend);
-    }
-
-    /// The update mask of the most recent step (for instrumentation),
-    /// recovered lazily from the round's published marks — steps that
-    /// nobody inspects don't pay for a second selection pass.
-    pub fn last_mask(&mut self) -> &[bool] {
-        if let Some((master, round)) = self.inner.last_round_key() {
-            let ctx = RoundCtx::new(self.inner.mrf(), master, round);
-            scheduled_mask(
-                self.inner.rule().scheduler(),
-                &ctx,
-                self.inner.locals(),
-                &mut self.mask,
-            );
-        }
-        &self.mask
-    }
-}
-
-impl<S: VertexScheduler> Chain for LubyGlauber<S> {
-    fn state(&self) -> &[Spin] {
-        self.inner.state()
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        self.inner.set_state(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        self.inner.step_keyed(rng.next());
-        #[cfg(debug_assertions)]
-        {
-            let mask = self.last_mask().to_vec();
-            debug_assert!(
-                self.mrf().graph().is_independent_set(&mask),
-                "scheduler violated independence"
-            );
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "LubyGlauber"
-    }
-}
 
 /// The weighted-CSP variant of LubyGlauber (paper remark after Algorithm
 /// 1): neighborhoods are redefined through shared constraint scopes, so
 /// the scheduled set must be *strongly* independent. Implemented by
 /// running the scheduler on the primal graph of the scope hypergraph.
 #[derive(Clone, Debug)]
-pub struct CspLubyGlauber<S: Scheduler = LubyScheduler> {
+pub(crate) struct CspLubyGlauber<S: Scheduler> {
     csp: Arc<Csp>,
     primal: lsl_graph::Graph,
     scheduler: S,
@@ -157,32 +22,14 @@ pub struct CspLubyGlauber<S: Scheduler = LubyScheduler> {
     scratch: lsl_mrf::csp::MarginalScratch,
 }
 
-impl CspLubyGlauber<LubyScheduler> {
-    /// Creates the chain with the Luby scheduler, starting from the given
-    /// configuration (CSPs often have constrained feasible spaces, so the
-    /// caller provides a sensible start — e.g. any maximal independent
-    /// set for the MIS distribution).
-    ///
-    /// # Panics
-    /// Panics if the start has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_csp(&csp).start(start).build()`")]
-    pub fn new(csp: impl Into<Arc<Csp>>, start: Vec<Spin>) -> Self {
-        #[allow(deprecated)] // one shim delegating to the other
-        Self::with_scheduler(csp, start, LubyScheduler::new())
-    }
-}
-
 impl<S: Scheduler> CspLubyGlauber<S> {
-    /// Creates the chain with a custom scheduler.
+    /// Creates the chain from `start` under `scheduler` (CSPs often have
+    /// constrained feasible spaces, so the caller provides a sensible
+    /// start — e.g. any maximal independent set for the MIS distribution).
     ///
     /// # Panics
     /// Panics if the start has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_csp(&csp).scheduler(sched).start(start).build()` \
-                with the matching `Sched` variant")]
-    pub fn with_scheduler(csp: impl Into<Arc<Csp>>, start: Vec<Spin>, scheduler: S) -> Self {
-        let csp = csp.into();
+    pub(crate) fn with_scheduler(csp: Arc<Csp>, start: Vec<Spin>, scheduler: S) -> Self {
         assert_eq!(start.len(), csp.graph().num_vertices());
         let primal = csp.scope_hypergraph().primal_graph();
         let n = csp.graph().num_vertices();
@@ -195,11 +42,6 @@ impl<S: Scheduler> CspLubyGlauber<S> {
             mask: vec![false; n],
             scratch,
         }
-    }
-
-    /// The CSP this chain samples from.
-    pub fn csp(&self) -> &Csp {
-        &self.csp
     }
 }
 
@@ -240,42 +82,63 @@ impl<S: Scheduler> Chain for CspLubyGlauber<S> {
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructors are the surface under test here.
-    #![allow(deprecated)]
-
-    use super::*;
-    use crate::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
+    use crate::engine::rules::{scheduled_mask, LubyGlauberRule};
+    use crate::engine::{RoundCtx, SyncChain};
+    use crate::sampler::{Algorithm, Sampler, Sched};
     use lsl_analysis::EmpiricalDistribution;
     use lsl_graph::generators;
+    use lsl_local::rng::Xoshiro256pp;
+    use lsl_mrf::csp::Csp;
     use lsl_mrf::gibbs::{encode_config, Enumeration};
-    use lsl_mrf::models;
+    use lsl_mrf::{models, Mrf};
     use std::sync::Arc;
 
-    fn chain_tv<C: Chain>(
-        mut make: impl FnMut() -> C,
-        q: usize,
-        steps: usize,
-        replicas: u64,
-        exact: &Enumeration,
-    ) -> f64 {
+    /// Exact TV of Algorithm 1 under `sched` through the facade's `tv` job.
+    fn facade_tv(mrf: &Mrf, sched: Sched, steps: usize, replicas: usize) -> f64 {
+        let exact = Enumeration::new(mrf).unwrap();
+        Sampler::for_mrf(mrf)
+            .algorithm(Algorithm::LubyGlauber)
+            .scheduler(sched)
+            .seed(31)
+            .tv(&exact, steps, replicas)
+            .unwrap()
+    }
+
+    /// Runs `reps` CSP LubyGlauber chains through the facade (start and
+    /// seed per replica from `pick`) and returns the empirical law.
+    fn csp_distribution(
+        csp: &Arc<Csp>,
+        reps: u64,
+        rounds: usize,
+        mut pick: impl FnMut(u64) -> (Vec<lsl_mrf::Spin>, u64),
+    ) -> EmpiricalDistribution {
         let mut emp = EmpiricalDistribution::new();
-        for rep in 0..replicas {
-            let mut chain = make();
-            let mut rng = Xoshiro256pp::seed_from(31 + rep);
-            chain.run(steps, &mut rng);
-            emp.record(encode_config(chain.state(), q));
+        for rep in 0..reps {
+            let (start, seed) = pick(rep);
+            let mut chain = Sampler::for_csp(Arc::clone(csp))
+                .start(start)
+                .seed(seed)
+                .build()
+                .unwrap();
+            chain.run(rounds);
+            assert!(csp.is_feasible(chain.state()), "left the feasible space");
+            emp.record(encode_config(chain.state(), 2));
         }
-        emp.tv_against_dense(&exact.distribution())
+        emp
     }
 
     #[test]
     fn luby_glauber_updates_are_independent_sets() {
         let mrf = models::proper_coloring(generators::torus(4, 4), 9);
-        let mut chain = LubyGlauber::new(&mrf);
+        let mut chain = SyncChain::new(&mrf, LubyGlauberRule::luby(), 0);
         let mut rng = Xoshiro256pp::seed_from(1);
+        let mut mask = vec![false; mrf.num_vertices()];
         for _ in 0..30 {
-            chain.step(&mut rng);
-            assert!(mrf.graph().is_independent_set(chain.last_mask()));
+            chain.step_keyed(rng.next());
+            let (master, round) = chain.last_round_key().unwrap();
+            let ctx = RoundCtx::new(&mrf, master, round);
+            scheduled_mask(chain.rule().scheduler(), &ctx, chain.locals(), &mut mask);
+            assert!(mrf.graph().is_independent_set(&mask));
         }
         assert!(mrf.is_feasible(chain.state()));
     }
@@ -284,44 +147,28 @@ mod tests {
     fn luby_glauber_samples_gibbs_small() {
         // Colorings of C4 with q = 3: TV to exact must vanish.
         let mrf = models::proper_coloring(generators::cycle(4), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(|| LubyGlauber::new(&mrf), 3, 120, 6000, &exact);
+        let tv = facade_tv(&mrf, Sched::Luby, 120, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn luby_glauber_hardcore_small() {
         let mrf = models::hardcore(generators::path(4), 1.5);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(|| LubyGlauber::new(&mrf), 2, 100, 6000, &exact);
+        let tv = facade_tv(&mrf, Sched::Luby, 100, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn singleton_scheduler_equals_glauber_distribution() {
         let mrf = models::uniform_independent_set(generators::path(3));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LubyGlauber::with_scheduler(&mrf, SingletonScheduler),
-            2,
-            80,
-            6000,
-            &exact,
-        );
+        let tv = facade_tv(&mrf, Sched::Singleton, 80, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn bernoulli_scheduler_also_converges() {
         let mrf = models::proper_coloring(generators::path(3), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LubyGlauber::with_scheduler(&mrf, BernoulliFilterScheduler::new(0.3)),
-            3,
-            100,
-            6000,
-            &exact,
-        );
+        let tv = facade_tv(&mrf, Sched::Bernoulli(0.3), 100, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
@@ -330,14 +177,8 @@ mod tests {
         // The chromatic scheduler is a systematic scan; after whole sweeps
         // it still targets the Gibbs distribution.
         let mrf = models::proper_coloring(generators::cycle(4), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LubyGlauber::with_scheduler(&mrf, ChromaticScheduler::greedy(mrf.graph())),
-            3,
-            121, // odd number of rounds? classes=2, 121 rounds ≈ 60.5 sweeps
-            6000,
-            &exact,
-        );
+        // classes = 2, so 121 rounds ≈ 60.5 sweeps.
+        let tv = facade_tv(&mrf, Sched::Chromatic, 121, 6000);
         assert!(tv < 0.06, "tv = {tv}");
     }
 
@@ -352,21 +193,15 @@ mod tests {
         // one flip at a time passes through non-maximal sets — also
         // infeasible. So instead validate *invariance*: starting from a
         // uniform random MIS, the chain keeps the uniform distribution.
-        let g = Arc::new(generators::cycle(5));
-        let csp = Csp::maximal_independent_set(Arc::clone(&g));
+        let csp = Arc::new(Csp::maximal_independent_set(Arc::new(generators::cycle(5))));
         let sols = csp.enumerate();
         assert_eq!(sols.len(), 5);
-        let mut emp = EmpiricalDistribution::new();
-        let reps = 8000u64;
-        for rep in 0..reps {
+        let emp = csp_distribution(&csp, 8000, 20, |rep| {
             let mut rng = Xoshiro256pp::seed_from(900 + rep);
             // Exact-uniform start over solutions.
-            let pick = (rand::RngExt::random_range(&mut rng, 0..sols.len() as u64)) as usize;
-            let mut chain = CspLubyGlauber::new(&csp, sols[pick].0.clone());
-            chain.run(20, &mut rng);
-            assert!(csp.is_feasible(chain.state()), "left the MIS space");
-            emp.record(encode_config(chain.state(), 2));
-        }
+            let pick = rand::RngExt::random_range(&mut rng, 0..sols.len() as u64) as usize;
+            (sols[pick].0.clone(), rng.next())
+        });
         // Uniformity preserved.
         for (sol, _) in &sols {
             let f = emp.frequency(encode_config(sol, 2));
@@ -378,18 +213,10 @@ mod tests {
     fn csp_luby_glauber_dominating_sets_mix() {
         // Dominating sets of P3 are connected under single-site moves:
         // {1} ↔ {0,1} ↔ {0,1,2} etc. The chain should reach uniform.
-        let g = Arc::new(generators::path(3));
-        let csp = Csp::dominating_set(Arc::clone(&g));
+        let csp = Arc::new(Csp::dominating_set(Arc::new(generators::path(3))));
         let sols = csp.enumerate();
         assert_eq!(sols.len(), 5);
-        let mut emp = EmpiricalDistribution::new();
-        let reps = 10_000u64;
-        for rep in 0..reps {
-            let mut rng = Xoshiro256pp::seed_from(1700 + rep);
-            let mut chain = CspLubyGlauber::new(&csp, vec![1, 1, 1]);
-            chain.run(60, &mut rng);
-            emp.record(encode_config(chain.state(), 2));
-        }
+        let emp = csp_distribution(&csp, 10_000, 60, |rep| (vec![1, 1, 1], 1700 + rep));
         for (sol, _) in &sols {
             let f = emp.frequency(encode_config(sol, 2));
             assert!((f - 0.2).abs() < 0.025, "sol {sol:?}: freq {f}");

@@ -1,23 +1,20 @@
 //! Mixing measurement: empirical total variation against exact ground
 //! truth, and round-budget estimation via coalescence.
 //!
-//! The batched entry points (`*_batched`) are the production path: they
-//! advance all replicas through the step engine's
-//! [`ReplicaSet`] in one
-//! cache-friendly pass instead of constructing one chain per replica,
-//! and they are what the sampler facade's job verbs
+//! Every entry point is batched (`*_batched`): it advances all replicas
+//! of an engine rule through the step engine's [`ReplicaSet`] in one
+//! cache-friendly pass instead of constructing one chain per replica.
+//! These are what the sampler facade's job verbs
 //! ([`SamplerBuilder::tv_curve`](crate::sampler::SamplerBuilder::tv_curve),
 //! [`SamplerBuilder::coalescence`](crate::sampler::SamplerBuilder::coalescence))
-//! run. The deprecated closure-based entry points remain for chains that
-//! are not expressed as engine rules.
+//! run.
 
-use crate::coupling::{adversarial_starts, coalescence_times};
+use crate::coupling::adversarial_starts;
 use crate::engine::replicas::ReplicaSet;
 use crate::engine::SyncRule;
-use crate::Chain;
 use lsl_analysis::stats::Summary;
 use lsl_analysis::EmpiricalDistribution;
-use lsl_local::rng::{derive_seed, Xoshiro256pp};
+use lsl_local::rng::derive_seed;
 use lsl_mrf::gibbs::{encode_config, Enumeration};
 use lsl_mrf::{Mrf, Spin};
 use std::ops::ControlFlow;
@@ -184,101 +181,6 @@ pub fn empirical_tv_curve_batched<R: SyncRule + Clone>(
         .collect()
 }
 
-/// Closure-based implementation shared by the deprecated entry points
-/// (they must not call each other, or the deprecation lint fires inside
-/// this crate).
-fn empirical_distribution_impl<C: Chain>(
-    make: &mut impl FnMut() -> C,
-    q: usize,
-    steps: usize,
-    replicas: usize,
-    seed: u64,
-) -> EmpiricalDistribution {
-    let mut emp = EmpiricalDistribution::new();
-    for rep in 0..replicas {
-        let mut chain = make();
-        let mut rng = Xoshiro256pp::seed_from(derive_seed(seed, 0x454d50, rep as u64)); // "EMP"
-        chain.run(steps, &mut rng);
-        emp.record(encode_config(chain.state(), q));
-    }
-    emp
-}
-
-/// Runs `replicas` independent copies of a chain for `steps` steps each
-/// and returns the empirical distribution of final configurations
-/// (encoded as base-`q` indices).
-#[deprecated(note = "use the sampler facade's job verb: \
-            `Sampler::for_mrf(&mrf).algorithm(alg).seed(seed).distribution(steps, replicas)`")]
-pub fn empirical_distribution<C: Chain>(
-    mut make: impl FnMut() -> C,
-    q: usize,
-    steps: usize,
-    replicas: usize,
-    seed: u64,
-) -> EmpiricalDistribution {
-    empirical_distribution_impl(&mut make, q, steps, replicas, seed)
-}
-
-/// Empirical total variation distance between a chain's time-`steps`
-/// distribution and the exact Gibbs distribution.
-#[deprecated(note = "use the sampler facade's job verb: \
-            `Sampler::for_mrf(&mrf).algorithm(alg).seed(seed).tv(&exact, steps, replicas)`")]
-pub fn empirical_tv<C: Chain>(
-    mut make: impl FnMut() -> C,
-    exact: &Enumeration,
-    steps: usize,
-    replicas: usize,
-    seed: u64,
-) -> f64 {
-    let emp = empirical_distribution_impl(&mut make, exact.q(), steps, replicas, seed);
-    emp.tv_against_dense(&exact.distribution())
-}
-
-/// The empirical TV curve at a ladder of step counts (fresh replicas per
-/// rung, so points are independent).
-#[deprecated(note = "use the sampler facade's job verb: \
-            `Sampler::for_mrf(&mrf).algorithm(alg).seed(seed).tv_curve(&exact, step_ladder, \
-            replicas)`")]
-pub fn empirical_tv_curve<C: Chain>(
-    mut make: impl FnMut() -> C,
-    exact: &Enumeration,
-    step_ladder: &[usize],
-    replicas: usize,
-    seed: u64,
-) -> Vec<(usize, f64)> {
-    step_ladder
-        .iter()
-        .map(|&steps| {
-            let emp = empirical_distribution_impl(
-                &mut make,
-                exact.q(),
-                steps,
-                replicas,
-                seed ^ steps as u64,
-            );
-            (steps, emp.tv_against_dense(&exact.distribution()))
-        })
-        .collect()
-}
-
-/// Coalescence-round summary for a chain on an MRF from adversarial
-/// starts: the experimental surrogate for τ(ε) in the scaling experiments
-/// (by the coupling lemma, `Pr[not coalesced by t] ≥ d(t)` bounds mixing).
-#[deprecated(note = "use the sampler facade's job verb: \
-            `Sampler::for_mrf(&mrf).algorithm(alg).seed(seed).coalescence(trials, max_steps)`")]
-pub fn coalescence_summary<C: Chain>(
-    make: impl FnMut(&[Spin]) -> C,
-    mrf: &Mrf,
-    trials: usize,
-    max_steps: usize,
-    seed: u64,
-) -> (Summary, usize) {
-    let starts = adversarial_starts(mrf, 2, seed);
-    let (times, timeouts) = coalescence_times(make, &starts, trials, max_steps, seed);
-    let xs: Vec<f64> = times.iter().map(|&t| t as f64).collect();
-    (Summary::of(&xs), timeouts)
-}
-
 /// Batched coalescence-round summary: grand couplings run as coupled
 /// replica sets (shared randomness computed once per round).
 pub fn coalescence_summary_batched<R: SyncRule + Clone>(
@@ -315,13 +217,8 @@ pub fn coalescence_summary_batched_observed<R: SyncRule + Clone>(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated closure-based entry points are kept covered here.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule};
-    use crate::local_metropolis::LocalMetropolis;
-    use crate::luby_glauber::LubyGlauber;
     use lsl_graph::generators;
     use lsl_mrf::models;
 
@@ -374,39 +271,6 @@ mod tests {
         let mrf = Arc::new(models::proper_coloring(generators::cycle(6), 9));
         let (summary, timeouts) =
             coalescence_summary_batched(&mrf, &LocalMetropolisRule::new(), 4, 50_000, 5);
-        assert_eq!(timeouts, 0);
-        assert!(summary.n > 0);
-        assert!(summary.mean >= 1.0);
-    }
-
-    #[test]
-    fn tv_curve_decreases_roughly() {
-        let mrf = models::proper_coloring(generators::cycle(4), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let curve = empirical_tv_curve(
-            || LubyGlauber::new(&mrf),
-            &exact,
-            &[0, 5, 40, 120],
-            4000,
-            99,
-        );
-        // Start is deterministic: TV(δ_x, µ) is near 1; by 120 rounds the
-        // chain is close.
-        assert!(curve[0].1 > 0.5, "curve = {curve:?}");
-        let last = curve.last().unwrap().1;
-        assert!(last < 0.08, "final tv = {last}");
-    }
-
-    #[test]
-    fn coalescence_summary_reports() {
-        let mrf = models::proper_coloring(generators::cycle(6), 9);
-        let (summary, timeouts) = coalescence_summary(
-            |s| LocalMetropolis::with_state(&mrf, s.to_vec()),
-            &mrf,
-            4,
-            50_000,
-            5,
-        );
         assert_eq!(timeouts, 0);
         assert!(summary.n > 0);
         assert!(summary.mean >= 1.0);

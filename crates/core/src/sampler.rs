@@ -59,7 +59,6 @@ use crate::engine::{Backend, HotPath, SyncChain, SyncRule};
 use crate::schedule::{
     BernoulliFilterScheduler, ChromaticScheduler, LubyScheduler, SingletonScheduler,
 };
-use crate::Chain;
 use lsl_analysis::stats::Summary;
 use lsl_analysis::EmpiricalDistribution;
 use lsl_local::rng::{derive_seed, Xoshiro256pp};
@@ -531,14 +530,13 @@ impl SamplerBuilder {
                     // with the same partition — the distributed run (see
                     // `crate::cluster`) is bit-identical to it by the
                     // determinism contract.
-                    let inner: Box<dyn DynSampler + Send> =
-                        if let Backend::Sharded { .. } | Backend::Cluster { .. } = backend {
+                    let start = start.unwrap_or_else(|| crate::single_site::default_start(&mrf));
+                    let inner: Box<dyn DynSampler + Send> = match backend {
+                        Backend::Sharded { .. } | Backend::Cluster { .. } => {
                             // min-then-max (not clamp) so a hypothetical
                             // empty model degrades instead of panicking.
                             let k = backend.worker_count().min(mrf.num_vertices()).max(1);
                             let partition = self.partitioner.partition(mrf.graph(), k);
-                            let start =
-                                start.unwrap_or_else(|| crate::single_site::default_start(&mrf));
                             Box::new(ShardedChain::with_state(
                                 Arc::clone(&mrf),
                                 rule,
@@ -546,14 +544,18 @@ impl SamplerBuilder {
                                 start,
                                 partition,
                             ))
-                        } else {
-                            let mut chain = wire(Arc::clone(&mrf), rule, seed, start, backend);
+                        }
+                        _ => {
+                            let mut chain =
+                                SyncChain::with_state(Arc::clone(&mrf), rule, seed, start);
+                            chain.set_backend(backend);
                             if let Some(hp) = hotpath {
                                 // Validated above, so this cannot panic.
                                 chain.set_hotpath(hp);
                             }
                             Box::new(chain)
-                        };
+                        }
+                    };
                     Sampler {
                         inner,
                         mrf: Some(mrf),
@@ -564,53 +566,25 @@ impl SamplerBuilder {
             }
             Model::Csp(csp) => {
                 let start = self.start.expect("validated above");
-                // The facade owns the wiring the legacy CSP constructors
-                // shim to, so it may use them without the deprecation lint.
-                #[allow(deprecated)]
-                let inner: Box<dyn DynSampler + Send> = match self.algorithm {
-                    Algorithm::LubyGlauber => {
-                        match self.scheduler.unwrap_or(Sched::Luby) {
-                            Sched::Luby => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    LubyScheduler::new(),
-                                ),
-                                self.seed,
-                            )),
-                            Sched::Singleton => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    SingletonScheduler,
-                                ),
-                                self.seed,
-                            )),
-                            Sched::Bernoulli(p) => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    BernoulliFilterScheduler::new(p),
-                                ),
-                                self.seed,
-                            )),
-                            Sched::Chromatic => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    ChromaticScheduler::greedy(
-                                        // Schedule on the primal graph of the
-                                        // scope hypergraph, as the chain does.
-                                        &csp.scope_hypergraph().primal_graph(),
-                                    ),
-                                ),
-                                self.seed,
-                            )),
+                let seed = self.seed;
+                let inner = match self.algorithm {
+                    Algorithm::LubyGlauber => match self.scheduler.unwrap_or(Sched::Luby) {
+                        Sched::Luby => csp_luby_glauber(&csp, start, LubyScheduler::new(), seed),
+                        Sched::Singleton => csp_luby_glauber(&csp, start, SingletonScheduler, seed),
+                        Sched::Bernoulli(p) => {
+                            csp_luby_glauber(&csp, start, BernoulliFilterScheduler::new(p), seed)
                         }
-                    }
+                        Sched::Chromatic => {
+                            // Schedule on the primal graph of the scope
+                            // hypergraph, as the chain does.
+                            let primal = csp.scope_hypergraph().primal_graph();
+                            let sched = ChromaticScheduler::greedy(&primal);
+                            csp_luby_glauber(&csp, start, sched, seed)
+                        }
+                    },
                     Algorithm::LocalMetropolis => Box::new(KeyedLegacy::new(
                         crate::csp_metropolis::CspLocalMetropolis::new(Arc::clone(&csp), start),
-                        self.seed,
+                        seed,
                     )),
                     _ => unreachable!("validated above"),
                 };
@@ -629,8 +603,7 @@ impl SamplerBuilder {
     // ----- job verbs ------------------------------------------------
     //
     // Jobs spawn their own replicas from the validated spec and run
-    // through the batched step-engine entry points. They are the typed
-    // successors of the deprecated free functions in `mixing`. Replicas
+    // through the batched step-engine entry points of `mixing`. Replicas
     // start from `.start(..)` when given (important for models whose
     // default start is unsafe, e.g. list colorings) and the
     // deterministic default start otherwise; `.burn_in(..)` configures
@@ -914,30 +887,12 @@ impl ReplicaBuilder {
     }
 }
 
-/// The shared wiring every MRF chain construction goes through — the
-/// builder's `build()` and the deprecated legacy constructors both end
-/// up here, so there is exactly one place that turns (model, rule, seed,
-/// start, backend) into a running engine chain.
-pub(crate) fn wire<R: SyncRule>(
-    mrf: impl Into<Arc<Mrf>>,
-    rule: R,
-    seed: u64,
-    start: Option<Vec<Spin>>,
-    backend: Backend,
-) -> SyncChain<R> {
-    let mrf = mrf.into();
-    let start = start.unwrap_or_else(|| crate::single_site::default_start(&mrf));
-    let mut chain = SyncChain::with_state(mrf, rule, seed, start);
-    chain.set_backend(backend);
-    chain
-}
-
 // ---------------------------------------------------------------------
 // Type erasure: one Sampler type over every (rule, scheduler) combo.
 // ---------------------------------------------------------------------
 
 /// Object-safe surface of a single chain (implemented by every
-/// `SyncChain<R>` and by keyed legacy `Chain`s for CSP models).
+/// `SyncChain<R>` and by keyed CSP [`Chain`]s).
 trait DynSampler {
     fn step(&mut self);
     fn step_keyed(&mut self, master: u64);
@@ -1001,7 +956,26 @@ impl<R: SyncRule> DynSampler for SyncChain<R> {
     }
 }
 
-/// Adapts a legacy [`Chain`] (stepped by an external generator) to the
+/// A CSP chain stepped by an external generator — the chains that do
+/// not yet run as engine rules. Only [`KeyedLegacy`] drives it.
+pub(crate) trait Chain {
+    /// The current configuration.
+    fn state(&self) -> &[Spin];
+
+    /// Overwrites the current configuration.
+    ///
+    /// # Panics
+    /// Implementations panic if the length is wrong.
+    fn set_state(&mut self, state: &[Spin]);
+
+    /// Advances the chain by one step, drawing from `rng`.
+    fn step(&mut self, rng: &mut Xoshiro256pp);
+
+    /// Human-readable chain name for experiment output.
+    fn name(&self) -> &'static str;
+}
+
+/// Adapts a [`Chain`] (stepped by an external generator) to the
 /// facade's self-keyed stepping: round `r` draws from a generator seeded
 /// by `derive(master, "CSPSTEP", r)`, so the determinism contract's
 /// `(master, round)` purity holds for CSP chains too.
@@ -1023,9 +997,7 @@ impl<C: Chain> KeyedLegacy<C> {
 
 impl<C: Chain> DynSampler for KeyedLegacy<C> {
     fn step(&mut self) {
-        let key = derive_seed(self.master, CSP_STEP_LABEL, self.round);
-        self.chain.step(&mut Xoshiro256pp::seed_from(key));
-        self.round += 1;
+        self.step_keyed(self.master);
     }
     fn step_keyed(&mut self, master: u64) {
         // Mix the round index into the key, matching the MRF path
@@ -1050,10 +1022,23 @@ impl<C: Chain> DynSampler for KeyedLegacy<C> {
     }
 }
 
+/// The CSP LubyGlauber chain under `scheduler`, keyed by `seed`.
+fn csp_luby_glauber<S: crate::schedule::Scheduler + Send + 'static>(
+    csp: &Arc<Csp>,
+    start: Vec<Spin>,
+    scheduler: S,
+    seed: u64,
+) -> Box<dyn DynSampler + Send> {
+    Box::new(KeyedLegacy::new(
+        crate::luby_glauber::CspLubyGlauber::with_scheduler(Arc::clone(csp), start, scheduler),
+        seed,
+    ))
+}
+
 /// One trajectory built by the facade. `step`/`run` advance self-keyed
 /// rounds (pure functions of the builder's seed and the round index);
 /// [`Sampler::step_keyed`] exists for grand couplings driven by external
-/// randomness, exactly like the legacy `Chain` wrappers.
+/// randomness.
 pub struct Sampler {
     inner: Box<dyn DynSampler + Send>,
     mrf: Option<Arc<Mrf>>,
@@ -1111,11 +1096,9 @@ impl Sampler {
 
     /// Advances one round keyed by an externally supplied master seed —
     /// feed identical keys to coupled samplers to realize a grand
-    /// coupling, exactly like stepping the legacy wrappers with
-    /// identically seeded generators. The round index is mixed into the
-    /// key (as the legacy wrappers mix their internal round counter),
-    /// so coupled partners must be at equal round counts — couple fresh
-    /// builds, not one burnt-in and one not.
+    /// coupling. The round index is mixed into the key, so coupled
+    /// partners must be at equal round counts — couple fresh builds, not
+    /// one burnt-in and one not.
     pub fn step_keyed(&mut self, master: u64) {
         self.inner.step_keyed(master);
     }

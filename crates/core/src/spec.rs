@@ -213,48 +213,23 @@ fn parse_axb(key: &str, args: &str) -> Result<(usize, usize), SpecError> {
 }
 
 /// Parses `name=value,name=value` argument lists (the named-argument
-/// scenario syntax), validating the exact expected name set.
-fn parse_named(key: &str, args: &str, expected: &[&str]) -> Result<Vec<String>, SpecError> {
-    let mut out = vec![None; expected.len()];
-    for piece in args.split(',') {
-        let (name, value) = piece
-            .split_once('=')
-            .ok_or_else(|| bad(key, format!("expected name=value, got {piece:?}")))?;
-        let slot = expected.iter().position(|&e| e == name).ok_or_else(|| {
-            bad(
-                key,
-                format!("unknown argument {name:?} (expected {expected:?})"),
-            )
-        })?;
-        if out[slot].is_some() {
-            return Err(bad(key, format!("argument {name:?} given twice")));
-        }
-        out[slot] = Some(value.to_string());
-    }
-    expected
-        .iter()
-        .zip(out)
-        .map(|(&name, v)| v.ok_or_else(|| bad(key, format!("missing argument {name:?}"))))
-        .collect()
-}
-
-/// Like [`parse_named`], but missing arguments fall back to
-/// `defaults` (parallel to `expected`), and an empty argument string
-/// yields all defaults — the syntax behind `sample` / `sample:count=8`.
-fn parse_named_defaults(
+/// scenario syntax) against `params`, `(name, default)` pairs in output
+/// order; a `None` default marks a required argument. When every
+/// argument has a default, an empty argument string yields all
+/// defaults — the syntax behind `sample` / `sample:count=8`.
+fn parse_named(
     key: &str,
     args: &str,
-    expected: &[&str],
-    defaults: &[&str],
+    params: &[(&str, Option<&str>)],
 ) -> Result<Vec<String>, SpecError> {
-    debug_assert_eq!(expected.len(), defaults.len());
-    let mut out: Vec<Option<String>> = vec![None; expected.len()];
-    if !args.is_empty() {
+    let mut out: Vec<Option<String>> = vec![None; params.len()];
+    if !args.is_empty() || params.iter().any(|(_, default)| default.is_none()) {
         for piece in args.split(',') {
             let (name, value) = piece
                 .split_once('=')
                 .ok_or_else(|| bad(key, format!("expected name=value, got {piece:?}")))?;
-            let slot = expected.iter().position(|&e| e == name).ok_or_else(|| {
+            let slot = params.iter().position(|&(e, _)| e == name).ok_or_else(|| {
+                let expected: Vec<&str> = params.iter().map(|&(e, _)| e).collect();
                 bad(
                     key,
                     format!("unknown argument {name:?} (expected {expected:?})"),
@@ -266,11 +241,14 @@ fn parse_named_defaults(
             out[slot] = Some(value.to_string());
         }
     }
-    Ok(defaults
+    params
         .iter()
         .zip(out)
-        .map(|(&d, v)| v.unwrap_or_else(|| d.to_string()))
-        .collect())
+        .map(|(&(name, default), v)| {
+            v.or_else(|| default.map(str::to_string))
+                .ok_or_else(|| bad(key, format!("missing argument {name:?}")))
+        })
+        .collect()
 }
 
 fn parse_int<T: FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
@@ -341,7 +319,7 @@ impl GraphSpec {
                 GraphSpec::Caterpillar { spine, legs }
             }
             "gnp" => {
-                let vals = parse_named(KEY, args, &["n", "p"])?;
+                let vals = parse_named(KEY, args, &[("n", None), ("p", None)])?;
                 let n = parse_int::<usize>(KEY, &vals[0])?;
                 let p = parse_int::<f64>(KEY, &vals[1])?;
                 if !(0.0..=1.0).contains(&p) {
@@ -350,7 +328,7 @@ impl GraphSpec {
                 GraphSpec::Gnp { n, p }
             }
             "random-regular" => {
-                let vals = parse_named(KEY, args, &["n", "d"])?;
+                let vals = parse_named(KEY, args, &[("n", None), ("d", None)])?;
                 let n = parse_int::<usize>(KEY, &vals[0])?;
                 let d = parse_int::<usize>(KEY, &vals[1])?;
                 let stubs = n
@@ -365,7 +343,7 @@ impl GraphSpec {
                 GraphSpec::RandomRegular { n, d }
             }
             "random-tree" => {
-                let vals = parse_named(KEY, args, &["n"])?;
+                let vals = parse_named(KEY, args, &[("n", None)])?;
                 GraphSpec::RandomTree {
                     n: parse_int::<usize>(KEY, &vals[0])?,
                 }
@@ -513,7 +491,7 @@ impl ModelSpec {
         };
         match name {
             "coloring" => {
-                let vals = parse_named(KEY, args, &["q"])?;
+                let vals = parse_named(KEY, args, &[("q", None)])?;
                 let q = parse_int::<usize>(KEY, &vals[0])?;
                 if q < 2 {
                     return Err(bad(KEY, "coloring needs q >= 2"));
@@ -521,7 +499,7 @@ impl ModelSpec {
                 Ok(ModelSpec::Coloring { q })
             }
             "list-coloring" => {
-                let vals = parse_named(KEY, args, &["q", "size"])?;
+                let vals = parse_named(KEY, args, &[("q", None), ("size", None)])?;
                 let q = parse_int::<usize>(KEY, &vals[0])?;
                 let size = parse_int::<usize>(KEY, &vals[1])?;
                 if q < 2 {
@@ -533,7 +511,7 @@ impl ModelSpec {
                 Ok(ModelSpec::ListColoring { q, size })
             }
             "hardcore" => {
-                let vals = parse_named(KEY, args, &["lambda"])?;
+                let vals = parse_named(KEY, args, &[("lambda", None)])?;
                 let lambda = parse_int::<f64>(KEY, &vals[0])?;
                 if !(lambda > 0.0) {
                     return Err(bad(KEY, "hardcore needs lambda > 0"));
@@ -543,7 +521,7 @@ impl ModelSpec {
             "independent-set" => no_args(ModelSpec::IndependentSet),
             "vertex-cover" => no_args(ModelSpec::VertexCover),
             "ising" => {
-                let vals = parse_named(KEY, args, &["beta"])?;
+                let vals = parse_named(KEY, args, &[("beta", None)])?;
                 let beta = parse_int::<f64>(KEY, &vals[0])?;
                 if !(beta > 0.0) {
                     return Err(bad(KEY, "ising needs beta > 0"));
@@ -551,7 +529,7 @@ impl ModelSpec {
                 Ok(ModelSpec::Ising { beta })
             }
             "potts" => {
-                let vals = parse_named(KEY, args, &["q", "beta"])?;
+                let vals = parse_named(KEY, args, &[("q", None), ("beta", None)])?;
                 let q = parse_int::<usize>(KEY, &vals[0])?;
                 let beta = parse_int::<f64>(KEY, &vals[1])?;
                 if q < 2 {
@@ -711,34 +689,35 @@ impl JobKind {
                 if args.is_empty() {
                     return Ok(JobKind::Run { rounds: 100 });
                 }
-                let vals = parse_named(KEY, args, &["rounds"])?;
+                let vals = parse_named(KEY, args, &[("rounds", None)])?;
                 Ok(JobKind::Run {
                     rounds: parse_int::<usize>(KEY, &vals[0])?,
                 })
             }
             "distribution" => {
-                let vals = parse_named(KEY, args, &["rounds", "replicas"])?;
+                let vals = parse_named(KEY, args, &[("rounds", None), ("replicas", None)])?;
                 Ok(JobKind::Distribution {
                     rounds: parse_int::<usize>(KEY, &vals[0])?,
                     replicas: parse_int::<usize>(KEY, &vals[1])?,
                 })
             }
             "tv" => {
-                let vals = parse_named(KEY, args, &["rounds", "replicas"])?;
+                let vals = parse_named(KEY, args, &[("rounds", None), ("replicas", None)])?;
                 Ok(JobKind::Tv {
                     rounds: parse_int::<usize>(KEY, &vals[0])?,
                     replicas: parse_int::<usize>(KEY, &vals[1])?,
                 })
             }
             "coalescence" => {
-                let vals = parse_named(KEY, args, &["trials", "max-rounds"])?;
+                let vals = parse_named(KEY, args, &[("trials", None), ("max-rounds", None)])?;
                 Ok(JobKind::Coalescence {
                     trials: parse_int::<usize>(KEY, &vals[0])?,
                     max_rounds: parse_int::<usize>(KEY, &vals[1])?,
                 })
             }
             "sample" => {
-                let vals = parse_named_defaults(KEY, args, &["rounds", "count"], &["100", "1"])?;
+                let vals =
+                    parse_named(KEY, args, &[("rounds", Some("100")), ("count", Some("1"))])?;
                 let count = parse_int::<usize>(KEY, &vals[1])?;
                 if count == 0 {
                     return Err(bad(KEY, "sample needs count >= 1"));
@@ -749,7 +728,8 @@ impl JobKind {
                 })
             }
             "stream" => {
-                let vals = parse_named_defaults(KEY, args, &["rounds", "every"], &["100", "1"])?;
+                let vals =
+                    parse_named(KEY, args, &[("rounds", Some("100")), ("every", Some("1"))])?;
                 let every = parse_int::<usize>(KEY, &vals[1])?;
                 if every == 0 {
                     return Err(bad(KEY, "stream needs every >= 1"));
@@ -1047,24 +1027,7 @@ impl JobSpec {
                     .sampler_builder(model)
                     .burn_in(self.burn_in.unwrap_or(0))
                     .build()?;
-                // Sliced stepping: `run(a); run(b)` equals `run(a+b)`
-                // by the determinism contract, so ticking every slice
-                // is free of observable effect on the trajectory.
-                let slice = (rounds / 16).max(1);
-                let mut ran = 0usize;
-                while ran < rounds {
-                    let now = slice.min(rounds - ran);
-                    sampler.run(now);
-                    ran += now;
-                    if progress(ran as u64, rounds.max(1) as u64).is_break() {
-                        // Preempted (cancellation): the caller discards
-                        // the result, so stop at this slice boundary.
-                        break;
-                    }
-                }
-                if rounds == 0 {
-                    let _ = progress(1, 1);
-                }
+                run_sliced(rounds, progress, |t| sampler.run(t));
                 let state = sampler.state();
                 let feasible = match model {
                     BuiltModel::Mrf(mrf) => mrf.is_feasible(state),
@@ -1128,19 +1091,7 @@ impl JobSpec {
                         .sampler_builder(model)
                         .burn_in(self.burn_in.unwrap_or(0))
                         .build()?;
-                    let slice = (rounds / 16).max(1);
-                    let mut ran = 0usize;
-                    while ran < rounds {
-                        let now = slice.min(rounds - ran);
-                        sampler.run(now);
-                        ran += now;
-                        if progress(ran as u64, rounds.max(1) as u64).is_break() {
-                            break;
-                        }
-                    }
-                    if rounds == 0 {
-                        let _ = progress(1, 1);
-                    }
+                    run_sliced(rounds, progress, |t| sampler.run(t));
                     JobOutput::Sample {
                         rounds: sampler.round(),
                         states: vec![StateBlob::pack(sampler.state(), q)],
@@ -1151,19 +1102,7 @@ impl JobSpec {
                         .burn_in(self.burn_in.unwrap_or(0))
                         .replicas(count)
                         .build()?;
-                    let slice = (rounds / 16).max(1);
-                    let mut ran = 0usize;
-                    while ran < rounds {
-                        let now = slice.min(rounds - ran);
-                        replicas.run(now);
-                        ran += now;
-                        if progress(ran as u64, rounds.max(1) as u64).is_break() {
-                            break;
-                        }
-                    }
-                    if rounds == 0 {
-                        let _ = progress(1, 1);
-                    }
+                    run_sliced(rounds, progress, |t| replicas.run(t));
                     JobOutput::Sample {
                         rounds: replicas.round(),
                         states: (0..count)
@@ -1217,6 +1156,31 @@ impl JobSpec {
             output,
             elapsed_secs: started.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// Advances a chain `rounds` rounds through `run` in 1/16 slices,
+/// ticking `progress` after each slice. A `Break` (cancellation) stops
+/// at the slice boundary; the caller discards the result. Slicing has
+/// no observable effect on the trajectory: `run(a); run(b)` equals
+/// `run(a + b)` by the determinism contract.
+fn run_sliced(
+    rounds: usize,
+    progress: crate::mixing::ProgressSink<'_>,
+    mut run: impl FnMut(usize),
+) {
+    let slice = (rounds / 16).max(1);
+    let mut ran = 0usize;
+    while ran < rounds {
+        let now = slice.min(rounds - ran);
+        run(now);
+        ran += now;
+        if progress(ran as u64, rounds.max(1) as u64).is_break() {
+            return;
+        }
+    }
+    if rounds == 0 {
+        let _ = progress(1, 1);
     }
 }
 

@@ -268,6 +268,45 @@ fn single_byte_edits_of_binary_frames_are_errors_or_canonical() {
 
 /// The seed lines themselves are canonical in both codecs.
 #[test]
+fn over_cap_text_lines_are_refused_and_the_session_reads_on() {
+    // A line with no `\n` past MAX_FRAME bytes errors once, is
+    // discarded through its eventual `\n`, and never grows the buffer
+    // past the cap; the next line still parses.
+    let mut fb = FrameBuffer::new();
+    let chunk = vec![b'x'; 1 << 20];
+    let mut refused = 0;
+    for _ in 0..(MAX_FRAME / chunk.len()) + 3 {
+        fb.extend(&chunk);
+        match fb.next_as(Codec::Text) {
+            Ok(None) => {}
+            Err(CodecError::Oversize { .. }) => refused += 1,
+            other => panic!("unexpected cut: {other:?}"),
+        }
+        assert!(
+            fb.len() <= MAX_FRAME + chunk.len(),
+            "buffer grew to {}",
+            fb.len()
+        );
+    }
+    assert_eq!(refused, 1);
+    fb.extend(b"tail of the long line\ncancel id=7\n");
+    assert_eq!(fb.next_as(Codec::Text), Ok(Some(b"cancel id=7".to_vec())));
+    assert!(fb.is_empty());
+
+    // A complete over-cap line arriving at once is refused the same way.
+    let mut long = vec![b'y'; MAX_FRAME + 1];
+    long.extend_from_slice(b"\nshutdown\n");
+    fb.extend(&long);
+    assert_eq!(
+        fb.next_as(Codec::Text),
+        Err(CodecError::Oversize {
+            len: MAX_FRAME as u64 + 1
+        })
+    );
+    assert_eq!(fb.next_as(Codec::Text), Ok(Some(b"shutdown".to_vec())));
+}
+
+#[test]
 fn seed_lines_round_trip_in_both_codecs() {
     for line in CLIENT_LINES {
         let frame: ClientFrame = line.parse().unwrap();

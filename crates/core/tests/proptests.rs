@@ -1,21 +1,14 @@
 //! Property-based tests for the sampling chains: structural invariants
-//! that must hold for every model, seed, and schedule.
-//!
-//! The deprecated legacy constructors are exercised on purpose — they
-//! are shims over the same wiring as the sampler facade, and
-//! `tests/sampler_facade.rs` pins the two surfaces bit-identical.
-#![allow(deprecated)]
+//! that must hold for every model, seed, and schedule. The chains are
+//! built through the sampler facade, the production path.
 
 use lsl_core::coupling::hamming;
 use lsl_core::engine::replicas::ReplicaSet;
 use lsl_core::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule};
 use lsl_core::engine::{Backend, SyncChain, SyncRule};
 use lsl_core::kernel::{glauber_kernel, local_metropolis_kernel, luby_set_distribution};
-use lsl_core::local_metropolis::LocalMetropolis;
-use lsl_core::luby_glauber::LubyGlauber;
+use lsl_core::sampler::{Algorithm, Sampler};
 use lsl_core::schedule::{LubyScheduler, Scheduler};
-use lsl_core::single_site::GlauberChain;
-use lsl_core::Chain;
 use lsl_graph::generators;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::gibbs::Enumeration;
@@ -29,10 +22,13 @@ proptest! {
     fn local_metropolis_preserves_feasibility(seed in 0u64..5000, q in 4usize..8) {
         // Once proper, forever proper (absorption direction of Thm 4.1).
         let mrf = models::proper_coloring(generators::cycle(6), q);
-        let mut chain = LocalMetropolis::with_state(&mrf, vec![0, 1, 0, 1, 0, 1]);
-        let mut rng = Xoshiro256pp::seed_from(seed);
+        let mut chain = Sampler::for_mrf(&mrf)
+            .start(vec![0, 1, 0, 1, 0, 1])
+            .seed(seed)
+            .build()
+            .unwrap();
         for _ in 0..20 {
-            chain.step(&mut rng);
+            chain.step();
             prop_assert!(mrf.is_feasible(chain.state()));
         }
     }
@@ -40,9 +36,12 @@ proptest! {
     #[test]
     fn luby_glauber_spins_in_range(seed in 0u64..5000) {
         let mrf = models::proper_coloring(generators::torus(3, 3), 9);
-        let mut chain = LubyGlauber::new(&mrf);
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        chain.run(10, &mut rng);
+        let mut chain = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::LubyGlauber)
+            .seed(seed)
+            .build()
+            .unwrap();
+        chain.run(10);
         prop_assert!(chain.state().iter().all(|&c| c < 9));
     }
 
@@ -50,10 +49,14 @@ proptest! {
     fn glauber_single_site_moves(seed in 0u64..5000) {
         // One Glauber step changes at most one coordinate.
         let mrf = models::proper_coloring(generators::cycle(5), 4);
-        let mut chain = GlauberChain::with_state(&mrf, vec![0, 1, 0, 1, 2]);
-        let mut rng = Xoshiro256pp::seed_from(seed);
+        let mut chain = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::Glauber)
+            .start(vec![0, 1, 0, 1, 2])
+            .seed(seed)
+            .build()
+            .unwrap();
         let before = chain.state().to_vec();
-        chain.step(&mut rng);
+        chain.step();
         prop_assert!(hamming(&before, chain.state()) <= 1);
     }
 
@@ -72,13 +75,11 @@ proptest! {
     #[test]
     fn identical_seeds_give_identical_trajectories(seed in 0u64..5000) {
         let mrf = models::hardcore(generators::cycle(6), 1.3);
-        let mut a = LocalMetropolis::new(&mrf);
-        let mut b = LocalMetropolis::new(&mrf);
-        let mut ra = Xoshiro256pp::seed_from(seed);
-        let mut rb = Xoshiro256pp::seed_from(seed);
+        let build = || Sampler::for_mrf(&mrf).seed(seed).build().unwrap();
+        let (mut a, mut b) = (build(), build());
         for _ in 0..15 {
-            a.step(&mut ra);
-            b.step(&mut rb);
+            a.step();
+            b.step();
             prop_assert_eq!(a.state(), b.state());
         }
     }
@@ -114,9 +115,8 @@ proptest! {
     #[test]
     fn ising_chain_spins_binary(beta in 0.2f64..3.0, seed in 0u64..1000) {
         let mrf = models::ising(generators::grid(3, 3), beta);
-        let mut chain = LocalMetropolis::new(&mrf);
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        chain.run(10, &mut rng);
+        let mut chain = Sampler::for_mrf(&mrf).seed(seed).build().unwrap();
+        chain.run(10);
         prop_assert!(chain.state().iter().all(|&s| s < 2));
     }
 }

@@ -219,16 +219,63 @@ pub fn head_to_f64(head: u64) -> f64 {
     (head >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Declares scalar/AVX2/AVX-512 clones of a fill loop and a dispatcher
-/// that picks the widest instruction set the host supports. The bodies
+/// The instruction-set clones a [`simd_fill!`] fill dispatches between.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FillArm {
+    /// The plain loop, on every host.
+    Portable,
+    /// The loop compiled with AVX2 enabled.
+    Avx2,
+    /// The loop compiled with AVX-512 F/DQ/VL enabled (native 64-bit
+    /// multiplies).
+    Avx512,
+}
+
+impl FillArm {
+    /// Whether this host can run the arm.
+    fn supported(self) -> bool {
+        match self {
+            FillArm::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            FillArm::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            FillArm::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512dq")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest arm the host supports — the one the fills run.
+    fn widest() -> FillArm {
+        [FillArm::Avx512, FillArm::Avx2]
+            .into_iter()
+            .find(|arm| arm.supported())
+            .unwrap_or(FillArm::Portable)
+    }
+}
+
+/// Declares a fill `$name` over the widest [`FillArm`] the host
+/// supports, and `$on`, the same fill on a chosen arm. The arm bodies
 /// are identical — the `#[target_feature]` clones just let LLVM
 /// vectorize the (branchless, independent-per-index) loop with wider
 /// registers and native 64-bit multiplies (`vpmullq` needs AVX-512DQ).
 /// On non-x86-64 hosts only the portable loop exists.
 macro_rules! simd_fill {
-    ($(#[$doc:meta])* $name:ident, $elem:ty, $fast:expr, $exact:expr) => {
+    ($(#[$doc:meta])* $name:ident, $on:ident, $elem:ty, $fast:expr, $exact:expr) => {
         $(#[$doc])*
         pub fn $name(master: u64, label: u64, out: &mut [$elem]) {
+            $on(FillArm::widest(), master, label, out);
+        }
+
+        /// The fill on one dispatch arm.
+        ///
+        /// # Panics
+        /// Panics if the host cannot run `arm`.
+        fn $on(arm: FillArm, master: u64, label: u64, out: &mut [$elem]) {
             #[inline(always)]
             fn portable(master: u64, label: u64, out: &mut [$elem]) {
                 // `fn(master, label, index) -> (elem, flag)`, pure; a
@@ -252,28 +299,30 @@ macro_rules! simd_fill {
                     }
                 }
             }
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-                unsafe fn wide512(master: u64, label: u64, out: &mut [$elem]) {
-                    portable(master, label, out);
+            assert!(arm.supported(), "fill arm {arm:?} is not supported on this host");
+            match arm {
+                FillArm::Portable => portable(master, label, out),
+                #[cfg(target_arch = "x86_64")]
+                FillArm::Avx2 => {
+                    #[target_feature(enable = "avx2")]
+                    unsafe fn wide256(master: u64, label: u64, out: &mut [$elem]) {
+                        portable(master, label, out);
+                    }
+                    // SAFETY: AVX2 support was asserted above.
+                    unsafe { wide256(master, label, out) }
                 }
-                #[target_feature(enable = "avx2")]
-                unsafe fn wide256(master: u64, label: u64, out: &mut [$elem]) {
-                    portable(master, label, out);
+                #[cfg(target_arch = "x86_64")]
+                FillArm::Avx512 => {
+                    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+                    unsafe fn wide512(master: u64, label: u64, out: &mut [$elem]) {
+                        portable(master, label, out);
+                    }
+                    // SAFETY: AVX-512 F/DQ/VL support was asserted above.
+                    unsafe { wide512(master, label, out) }
                 }
-                if std::arch::is_x86_feature_detected!("avx512dq")
-                    && std::arch::is_x86_feature_detected!("avx512vl")
-                {
-                    // SAFETY: the required features were just detected.
-                    return unsafe { wide512(master, label, out) };
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 was just detected.
-                    return unsafe { wide256(master, label, out) };
-                }
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => unreachable!("only the portable arm is supported off x86-64"),
             }
-            portable(master, label, out);
         }
     };
 }
@@ -287,14 +336,14 @@ simd_fill!(
     /// function of `(master, label, index)`), so trajectories built on
     /// the heads are identical to ones that construct a generator per
     /// index.
-    fill_stream_heads, u64, head_fast, head_at
+    fill_stream_heads, fill_stream_heads_on, u64, head_fast, head_at
 );
 
 simd_fill!(
     /// Fills `out[i] = derive_seed(master, label, i)` — the seed block
     /// for multi-draw consumers, which then build each full stream with
     /// [`Xoshiro256pp::seed_from`] exactly as the scalar path does.
-    fill_stream_seeds, u64, |m, l, i| (derive_seed(m, l, i), 0), derive_seed
+    fill_stream_seeds, fill_stream_seeds_on, u64, |m, l, i| (derive_seed(m, l, i), 0), derive_seed
 );
 
 /// Fills `out[i]` with the first `uniform_f64` of stream
@@ -507,6 +556,42 @@ mod tests {
         for (i, &c) in coins.iter().enumerate() {
             let mut scalar = Xoshiro256pp::seed_from(derive_seed(master, 5, i as u64));
             assert_eq!(c, scalar.uniform_f64(), "index {i}");
+        }
+    }
+
+    #[test]
+    fn every_supported_fill_arm_matches_the_per_index_streams() {
+        // Lengths 0, 1, odd, and well past one vector block.
+        for arm in [FillArm::Portable, FillArm::Avx2, FillArm::Avx512] {
+            if !arm.supported() {
+                eprintln!("skipped: fill arm {arm:?} is not supported on this host");
+                continue;
+            }
+            for len in [0usize, 1, 7, 33, 1001] {
+                let master = round_key(11, len as u64);
+                let mut heads = vec![0u64; len];
+                let mut seeds = vec![0u64; len];
+                fill_stream_heads_on(arm, master, 5, &mut heads);
+                fill_stream_seeds_on(arm, master, 5, &mut seeds);
+                for i in 0..len {
+                    let at = i as u64;
+                    assert_eq!(
+                        heads[i],
+                        head_at(master, 5, at),
+                        "{arm:?} len {len} head {i}"
+                    );
+                    assert_eq!(
+                        heads[i],
+                        stream_head(master, 5, at),
+                        "{arm:?} len {len} head {i}"
+                    );
+                    assert_eq!(
+                        seeds[i],
+                        derive_seed(master, 5, at),
+                        "{arm:?} len {len} seed {i}"
+                    );
+                }
+            }
         }
     }
 

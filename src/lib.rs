@@ -70,9 +70,8 @@ pub use lsl_local as local;
 pub use lsl_lowerbound as lowerbound;
 pub use lsl_mrf as mrf;
 
-/// The facade in one `use`: the sampler builder types, the
-/// [`Chain`](crate::core::Chain) trait, the engine backend, common
-/// model constructors
+/// The facade in one `use`: the sampler builder types, the engine
+/// backend, common model constructors
 /// ([`models`](mod@crate::mrf::models)), graph
 /// [`generators`](mod@crate::graph::generators), and the workspace PRNG.
 ///
@@ -86,10 +85,10 @@ pub use lsl_mrf as mrf;
 /// ```
 pub mod prelude {
     pub use crate::core::prelude::{
-        AcceptanceObserver, Algorithm, Backend, BuildError, Chain, CoalescenceReport,
-        EnergyObserver, HammingObserver, JobHandle, JobOutput, JobResult, JobSpec, Observer,
-        ReplicaBuilder, ReplicaSampler, Sampler, SamplerBuilder, ScenarioRegistry, Sched, Service,
-        SpecError, Xoshiro256pp,
+        AcceptanceObserver, Algorithm, Backend, BuildError, CoalescenceReport, EnergyObserver,
+        HammingObserver, JobHandle, JobOutput, JobResult, JobSpec, Observer, ReplicaBuilder,
+        ReplicaSampler, Sampler, SamplerBuilder, ScenarioRegistry, Sched, Service, SpecError,
+        Xoshiro256pp,
     };
     pub use crate::graph::generators;
     pub use crate::mrf::csp::Csp;
