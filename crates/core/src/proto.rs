@@ -444,9 +444,9 @@ const KNOWN_WHATS: &[&str] = &[
 
 statics! {
     /// The keys [`SpecError::MissingKey`] names.
-    MissingKeys = ["graph", "model"], None;
+    MissingKeys = crate::spec::REQUIRED_KEYS, None;
     /// The kinds [`SpecError::UnknownScenario`] names.
-    ScenarioKinds = ["graph family", "model", "job"], None;
+    ScenarioKinds = crate::spec::SCENARIO_KINDS, None;
     /// Unlike the small closed `key`/`kind` vocabularies, the `what`
     /// set grows with the facade; an unrecognized value (a newer
     /// server) degrades to a generic static instead of failing the

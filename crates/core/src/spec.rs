@@ -1,5 +1,5 @@
-//! Declarative job specifications: a parse/print round-trippable,
-//! hand-rolled spec format naming a complete workload.
+//! Declarative job specifications: a parse/print round-trippable spec
+//! format naming a complete workload, declared once as descriptor rows.
 //!
 //! The paper frames sampling as a *service the network provides*: a
 //! query names a local Gibbs distribution and the system returns a
@@ -25,19 +25,32 @@
 //!   graph seed defaults to the chain seed);
 //! * `job=` — what to measure: `run:rounds=N` (default),
 //!   `distribution:rounds=N,replicas=B`, `tv:rounds=N,replicas=B`,
-//!   `coalescence:trials=T,max-rounds=M`.
+//!   `coalescence:trials=T,max-rounds=M`, `sample`, `stream`;
+//! * `seeds=` / `sweep=` — clauses that expand one line into many jobs
+//!   ([`SweepSpec`]).
+//!
+//! ## One declaration per scenario
+//!
+//! Each graph family, model and job is one row of a `scenarios!` table:
+//! its variant, its name, its argument form (bare, `<n>`, `<a>x<b>` or
+//! named `k=v` with optional defaults), its typed arguments with their
+//! ranges, any cross-argument checks, and a summary. A `spec_keys!`
+//! table does the same for the top-level keys. Parsing, the canonical
+//! print, range validation, the [`ScenarioRegistry`] listing behind
+//! `lsl list scenarios` and the names an error offers all walk those
+//! rows, and `sweep=` finds its parameter by name in the model's row.
+//! Adding a family or model is adding one row (plus its build arm).
 //!
 //! Parsing is total and typed: anything wrong — an unknown key, a bad
-//! arity, an invalid combination — surfaces as a [`SpecError`] value
-//! (facade rejections are wrapped [`BuildError`]s), never a panic, and
-//! graph-constructor preconditions (`cycle` needs `n ≥ 3`, ...) are
-//! checked at *parse* time so a validated spec cannot blow up a
-//! service worker later. Printing ([`std::fmt::Display`]) emits a
-//! canonical form that parses back to the identical spec —
-//! property-tested across the registry in `tests/spec_roundtrip.rs`.
-//!
-//! [`ScenarioRegistry`] enumerates every recognized scenario with its
-//! syntax — the data behind `lsl list scenarios`.
+//! arity, an out-of-range argument — surfaces as a [`SpecError`] value
+//! (facade rejections are wrapped [`BuildError`]s), never a panic. The
+//! ranges are the constructors' preconditions (`cycle` needs `n ≥ 3`,
+//! a model's `q` is at most [`MAX_Q`], `beta` and `lambda` are finite
+//! and positive, replica counts are at least 1), so a validated spec
+//! cannot blow up a service worker later. Printing
+//! ([`std::fmt::Display`]) emits a canonical form that parses back to
+//! the identical spec — pinned in `tests/spec_golden.rs` and
+//! property-tested in `tests/spec_roundtrip.rs`.
 //!
 //! Running a spec ([`JobSpec::run`]) goes through the sampler facade,
 //! so the result is bit-identical to building the same workload by
@@ -57,6 +70,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::fmt;
+use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -130,19 +144,17 @@ impl fmt::Display for SpecError {
             SpecError::NotKeyValue { token } => {
                 write!(f, "token {token:?} is not of the form key=value")
             }
-            SpecError::UnknownKey { key } => write!(
-                f,
-                "unknown key {key:?} (expected graph | model | algorithm | scheduler | \
-                 backend | partitioner | hotpath | seed | graph-seed | burn-in | job)"
-            ),
+            SpecError::UnknownKey { key } => {
+                let keys: Vec<&str> = JOB_KEYS.iter().copied().chain([SEEDS, SWEEP]).collect();
+                write!(f, "unknown key {key:?} (expected {})", keys.join(" | "))
+            }
             SpecError::DuplicateKey { key } => write!(f, "key {key:?} given twice"),
             SpecError::MissingKey { key } => write!(f, "required key {key:?} is missing"),
-            SpecError::UnknownScenario { kind, name } => {
-                write!(
-                    f,
-                    "unknown {kind} {name:?} (run `lsl list scenarios` for the registry)"
-                )
-            }
+            SpecError::UnknownScenario { kind, name } => write!(
+                f,
+                "unknown {kind} {name:?} (expected {}; `lsl list scenarios` shows the registry)",
+                scenario_names(kind).join(" | ")
+            ),
             SpecError::BadValue { key, message } => write!(f, "bad value for {key:?}: {message}"),
             SpecError::Combo(e) => write!(f, "invalid combination: {e}"),
             SpecError::Unsupported { message } => f.write_str(message),
@@ -173,6 +185,379 @@ fn bad(key: &str, message: impl Into<String>) -> SpecError {
 }
 
 // ---------------------------------------------------------------------
+// Descriptors: each vocabulary declared once
+// ---------------------------------------------------------------------
+
+/// The largest `q` the coloring and Potts models accept: their `q × q`
+/// f64 activity table is then 8 MiB.
+pub const MAX_Q: usize = 1024;
+
+/// The range of a model's `q`.
+const COLORS: RangeInclusive<usize> = 2..=MAX_Q;
+
+/// The range of a finite positive real (`beta`, `lambda`).
+const POSITIVE: (Bound<f64>, Bound<f64>) = (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY));
+
+/// How a scenario's arguments follow its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Form {
+    /// `name`: no arguments.
+    Bare,
+    /// `name:<v>`: one positional argument.
+    Pos,
+    /// `name:<a>x<b>`: two positional arguments.
+    AxB,
+    /// `name:k=v,k=v`: named arguments in any order; defaulted ones may
+    /// be left out, and a row whose arguments all default accepts the
+    /// bare name.
+    Named,
+}
+
+/// One argument of a scenario row, as the registry shows it.
+struct ArgRow {
+    key: &'static str,
+    /// Whether the argument is a real number (what `sweep=` can vary).
+    real: bool,
+    default: Option<&'static str>,
+    /// Renders the range as text (`2 <= q <= 1024`) for a key.
+    bound: Option<fn(&str) -> String>,
+}
+
+/// One scenario: its name, argument form and typed arguments, the
+/// cross-argument checks, and a summary.
+struct Row {
+    name: &'static str,
+    form: Form,
+    args: Vec<ArgRow>,
+    needs: &'static [&'static str],
+    summary: &'static str,
+}
+
+impl Row {
+    /// The accepted syntax, e.g. `torus:<rows>x<cols>`; arguments that
+    /// all have defaults are bracketed.
+    fn syntax(&self) -> String {
+        let key = |i: usize| self.args[i].key;
+        let args = match self.form {
+            Form::Bare => return self.name.to_string(),
+            Form::Pos => format!("<{}>", key(0)),
+            Form::AxB => format!("<{}>x<{}>", key(0), key(1)),
+            Form::Named => {
+                let named: Vec<String> = self
+                    .args
+                    .iter()
+                    .map(|a| format!("{0}=<{0}>", a.key))
+                    .collect();
+                named.join(",")
+            }
+        };
+        if self.args.iter().all(|a| a.default.is_some()) {
+            format!("{}[:{args}]", self.name)
+        } else {
+            format!("{}:{args}", self.name)
+        }
+    }
+
+    /// The summary, followed by the row's defaults, ranges and checks.
+    fn described(&self) -> String {
+        let notes: Vec<String> = self
+            .args
+            .iter()
+            .flat_map(|a| {
+                let default = a.default.map(|d| format!("{}={d} by default", a.key));
+                default.into_iter().chain(a.bound.map(|b| b(a.key)))
+            })
+            .chain(self.needs.iter().map(|n| n.to_string()))
+            .collect();
+        if notes.is_empty() {
+            self.summary.to_string()
+        } else {
+            format!("{} [{}]", self.summary, notes.join(", "))
+        }
+    }
+}
+
+/// A vocabulary declared by `scenarios!`: one [`Row`] per variant,
+/// and parse and print driven by the rows.
+trait Scenarios: Sized {
+    /// The spec key the vocabulary's values appear under.
+    const KEY: &'static str;
+    /// How [`SpecError::UnknownScenario`] names the vocabulary.
+    const KIND: &'static str;
+    /// The scenario names, in declaration order.
+    const NAMES: &'static [&'static str];
+
+    /// The rows, in declaration order.
+    fn rows() -> Vec<Row>;
+
+    /// Parses `name` and its argument string against its row.
+    fn parse_args(name: &str, args: &str) -> Result<Self, SpecError>;
+
+    /// Hands the value's name, form and arguments (in row order) to
+    /// `f`.
+    fn visit<R>(
+        &self,
+        f: impl FnOnce(&'static str, Form, &[(&'static str, &dyn fmt::Display)]) -> R,
+    ) -> R;
+
+    /// Whole-value checks that no single row states (see
+    /// [`GraphSpec::num_vertices`]).
+    fn admit(self) -> Result<Self, SpecError> {
+        Ok(self)
+    }
+
+    /// Parses a whole value, `name[:args]`.
+    fn parse_scenario(value: &str) -> Result<Self, SpecError> {
+        let (name, args) = value.split_once(':').unwrap_or((value, ""));
+        Self::parse_args(name, args)?.admit()
+    }
+
+    /// `self` with argument `key` set to `text`, validated like a
+    /// parsed value; `None` when the row has no such argument.
+    fn with_arg(&self, key: &str, text: &str) -> Option<Result<Self, SpecError>> {
+        self.visit(|name, form, args| {
+            args.iter().any(|&(k, _)| k == key).then(|| {
+                let text: &dyn fmt::Display = &text;
+                let args: Vec<(&str, &dyn fmt::Display)> = args
+                    .iter()
+                    .map(|&(k, v)| (k, if k == key { text } else { v }))
+                    .collect();
+                let mut value = String::new();
+                let _ = write_args(&mut value, name, form, &args); // a String never refuses
+                Self::parse_scenario(&value)
+            })
+        })
+    }
+}
+
+/// The value type of one top-level key: how `key=value` parses, and the
+/// `(syntax, summary)` lines `lsl list scenarios` shows for it.
+trait Vocab: Sized + fmt::Display {
+    fn parse_value(key: &str, value: &str) -> Result<Self, SpecError>;
+    fn listing() -> Vec<(String, String)>;
+}
+
+/// Prints `name` and its arguments in `form`.
+fn write_args(
+    out: &mut impl fmt::Write,
+    name: &str,
+    form: Form,
+    args: &[(&str, &dyn fmt::Display)],
+) -> fmt::Result {
+    out.write_str(name)?;
+    match (form, args) {
+        (Form::Pos, [(_, v)]) => write!(out, ":{v}"),
+        (Form::AxB, [(_, a), (_, b)]) => write!(out, ":{a}x{b}"),
+        _ => {
+            let mut sep = ':';
+            for (key, v) in args {
+                write!(out, "{sep}{key}={v}")?;
+                sep = ',';
+            }
+            Ok(())
+        }
+    }
+}
+
+/// Splits `args` into one text per argument of a `form` row with
+/// argument `keys`, in row order; `None` marks a left-out argument.
+/// When every argument has a default (`all_default`), an empty
+/// argument string leaves them all out — the syntax behind `sample`
+/// and `sample:count=8`.
+fn split_args<'a>(
+    key: &str,
+    name: &str,
+    form: Form,
+    args: &'a str,
+    keys: &[&str],
+    all_default: bool,
+) -> Result<Vec<Option<&'a str>>, SpecError> {
+    match form {
+        Form::Bare if args.is_empty() => Ok(Vec::new()),
+        Form::Bare => Err(bad(key, format!("{name} takes no arguments, got {args:?}"))),
+        Form::Pos if args.is_empty() => Err(bad(key, format!("{name} needs <{}>", keys[0]))),
+        Form::Pos => Ok(vec![Some(args)]),
+        Form::AxB => {
+            let (a, b) = args.split_once('x').ok_or_else(|| {
+                bad(
+                    key,
+                    format!("expected <{}>x<{}>, got {args:?}", keys[0], keys[1]),
+                )
+            })?;
+            Ok(vec![Some(a), Some(b)])
+        }
+        Form::Named => {
+            let mut out = vec![None; keys.len()];
+            if args.is_empty() && all_default {
+                return Ok(out);
+            }
+            for piece in args.split(',') {
+                let (arg, value) = piece
+                    .split_once('=')
+                    .ok_or_else(|| bad(key, format!("expected name=value, got {piece:?}")))?;
+                let slot = keys.iter().position(|&k| k == arg).ok_or_else(|| {
+                    bad(key, format!("unknown argument {arg:?} (expected {keys:?})"))
+                })?;
+                if out[slot].replace(value).is_some() {
+                    return Err(bad(key, format!("argument {arg:?} given twice")));
+                }
+            }
+            Ok(out)
+        }
+    }
+}
+
+fn parse_num<T: FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
+    value
+        .parse::<T>()
+        .map_err(|_| bad(key, format!("{value:?} is not a valid number")))
+}
+
+/// A range as text: `n >= 3`, `dim <= 24`, `2 <= q <= 1024`.
+fn describe<T: fmt::Display>(field: &str, range: &impl RangeBounds<T>) -> String {
+    let hi = match range.end_bound() {
+        Bound::Included(b) => format!(" <= {b}"),
+        Bound::Excluded(b) => format!(" < {b}"),
+        Bound::Unbounded => String::new(),
+    };
+    match range.start_bound() {
+        Bound::Included(a) if hi.is_empty() => format!("{field} >= {a}"),
+        Bound::Excluded(a) if hi.is_empty() => format!("{field} > {a}"),
+        Bound::Included(a) => format!("{a} <= {field}{hi}"),
+        Bound::Excluded(a) => format!("{a} < {field}{hi}"),
+        Bound::Unbounded => format!("{field}{hi}"),
+    }
+}
+
+/// Checks argument `field` of scenario `name` against its range.
+fn check_range<T: PartialOrd + fmt::Display>(
+    key: &str,
+    name: &str,
+    field: &str,
+    value: &T,
+    range: &impl RangeBounds<T>,
+) -> Result<(), SpecError> {
+    if range.contains(value) {
+        Ok(())
+    } else {
+        Err(bad(key, format!("{name} needs {}", describe(field, range))))
+    }
+}
+
+/// Declares one vocabulary, one row per variant:
+///
+/// ```text
+/// scenarios! { Type, "<key>" [as "<kind>"] [, admit] {
+///     Variant "name" Form { field ["arg-key"]: type [= default] [in range], .. }
+///         [where <check> => "<what the check needs>"]* "<summary>";
+/// } }
+/// ```
+///
+/// `Form` is `Bare`, `Pos`, `AxB` or `Named`. An argument's key
+/// defaults to its field name; `range` is any `RangeBounds` over its
+/// type; a `where` check runs over the parsed fields. The rows drive
+/// parsing, the canonical print, range checks, the registry listing
+/// and the names an unknown scenario is told to pick from.
+macro_rules! scenarios {
+    ($T:ident, $key:literal $(as $kind:literal)? $(, $admit:ident)? {
+        $($V:ident $name:literal $form:ident {
+            $($f:ident $($arg:literal)? : $ty:ident $(= $default:literal)? $(in $range:expr)?),* $(,)?
+        } $(where $check:expr => $need:literal)* $summary:literal;)*
+    }) => {
+        impl Scenarios for $T {
+            const KEY: &'static str = $key;
+            const KIND: &'static str = scenarios!(@or $($kind)? $key);
+            const NAMES: &'static [&'static str] = &[$($name),*];
+
+            fn rows() -> Vec<Row> {
+                vec![$(Row {
+                    name: $name,
+                    form: Form::$form,
+                    args: vec![$(ArgRow {
+                        key: scenarios!(@or $($arg)? stringify!($f)),
+                        real: stringify!($ty) == stringify!(f64),
+                        default: scenarios!(@some $(stringify!($default))?),
+                        bound: scenarios!(@some $(|key: &str| describe(key, &$range))?),
+                    }),*],
+                    needs: &[$($need),*],
+                    summary: $summary,
+                }),*]
+            }
+
+            fn parse_args(name: &str, args: &str) -> Result<Self, SpecError> {
+                match name {
+                    $($name => {
+                        let keys: &[&str] = &[$(scenarios!(@or $($arg)? stringify!($f))),*];
+                        let all_default = [$(scenarios!(@has $($default)?)),*].iter().all(|&d| d);
+                        #[allow(unused_mut, unused_variables)]
+                        let mut texts = split_args($key, $name, Form::$form, args, keys, all_default)?
+                            .into_iter();
+                        $(
+                            #[allow(unused_variables)] // read by range checks and errors
+                            let arg = scenarios!(@or $($arg)? stringify!($f));
+                            let $f: $ty = match texts.next().flatten() {
+                                Some(text) => parse_num($key, text)?,
+                                None => scenarios!(@default $key, arg $(, $default)?),
+                            };
+                            $(check_range($key, $name, arg, &$f, &$range)?;)?
+                        )*
+                        $(if !($check) {
+                            return Err(bad($key, format!("{} needs {}", $name, $need)));
+                        })*
+                        Ok($T::$V { $($f),* })
+                    })*
+                    other => Err(SpecError::UnknownScenario {
+                        kind: Self::KIND,
+                        name: other.to_string(),
+                    }),
+                }
+            }
+
+            fn visit<R>(
+                &self,
+                f: impl FnOnce(&'static str, Form, &[(&'static str, &dyn fmt::Display)]) -> R,
+            ) -> R {
+                match self {
+                    $($T::$V { $($f),* } => f($name, Form::$form, &[
+                        $((scenarios!(@or $($arg)? stringify!($f)), $f as &dyn fmt::Display)),*
+                    ]),)*
+                }
+            }
+
+            $(fn admit(self) -> Result<Self, SpecError> {
+                $T::$admit(self)
+            })?
+        }
+
+        impl Vocab for $T {
+            fn parse_value(_key: &str, value: &str) -> Result<Self, SpecError> {
+                Self::parse_scenario(value)
+            }
+
+            fn listing() -> Vec<(String, String)> {
+                Self::rows().iter().map(|r| (r.syntax(), r.described())).collect()
+            }
+        }
+
+        impl fmt::Display for $T {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.visit(|name, form, args| write_args(f, name, form, args))
+            }
+        }
+    };
+    (@or $given:literal $fallback:expr) => { $given };
+    (@or $given:expr) => { $given };
+    (@some) => { None };
+    (@some $x:expr) => { Some($x) };
+    (@has) => { false };
+    (@has $default:literal) => { true };
+    (@default $key:literal, $arg:ident) => {
+        return Err(bad($key, format!("missing argument {:?}", $arg)))
+    };
+    (@default $key:literal, $arg:ident, $default:literal) => { $default };
+}
+
+// ---------------------------------------------------------------------
 // Graph scenarios
 // ---------------------------------------------------------------------
 
@@ -198,172 +583,46 @@ pub enum GraphSpec {
     RandomTree { n: usize },
 }
 
-/// Splits `args` as `<a>x<b>` into two integers.
-fn parse_axb(key: &str, args: &str) -> Result<(usize, usize), SpecError> {
-    let (a, b) = args
-        .split_once('x')
-        .ok_or_else(|| bad(key, format!("expected <a>x<b>, got {args:?}")))?;
-    let a = a
-        .parse::<usize>()
-        .map_err(|_| bad(key, format!("{a:?} is not an integer")))?;
-    let b = b
-        .parse::<usize>()
-        .map_err(|_| bad(key, format!("{b:?} is not an integer")))?;
-    Ok((a, b))
-}
-
-/// Parses `name=value,name=value` argument lists (the named-argument
-/// scenario syntax) against `params`, `(name, default)` pairs in output
-/// order; a `None` default marks a required argument. When every
-/// argument has a default, an empty argument string yields all
-/// defaults — the syntax behind `sample` / `sample:count=8`.
-fn parse_named(
-    key: &str,
-    args: &str,
-    params: &[(&str, Option<&str>)],
-) -> Result<Vec<String>, SpecError> {
-    let mut out: Vec<Option<String>> = vec![None; params.len()];
-    if !args.is_empty() || params.iter().any(|(_, default)| default.is_none()) {
-        for piece in args.split(',') {
-            let (name, value) = piece
-                .split_once('=')
-                .ok_or_else(|| bad(key, format!("expected name=value, got {piece:?}")))?;
-            let slot = params.iter().position(|&(e, _)| e == name).ok_or_else(|| {
-                let expected: Vec<&str> = params.iter().map(|&(e, _)| e).collect();
-                bad(
-                    key,
-                    format!("unknown argument {name:?} (expected {expected:?})"),
-                )
-            })?;
-            if out[slot].is_some() {
-                return Err(bad(key, format!("argument {name:?} given twice")));
-            }
-            out[slot] = Some(value.to_string());
-        }
-    }
-    params
-        .iter()
-        .zip(out)
-        .map(|(&(name, default), v)| {
-            v.or_else(|| default.map(str::to_string))
-                .ok_or_else(|| bad(key, format!("missing argument {name:?}")))
-        })
-        .collect()
-}
-
-fn parse_int<T: FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value
-        .parse::<T>()
-        .map_err(|_| bad(key, format!("{value:?} is not a valid number")))
-}
+scenarios! { GraphSpec, "graph" as "graph family", admit_size {
+    Path "path" Pos { n: usize } "path P_n";
+    Cycle "cycle" Pos { n: usize in 3.. } "cycle C_n";
+    Complete "complete" Pos { n: usize } "complete graph K_n";
+    CompleteBipartite "complete-bipartite" AxB { a: usize, b: usize } "complete bipartite K_{a,b}";
+    Star "star" Pos { n: usize } "star K_{1,n}";
+    Grid "grid" AxB { rows: usize, cols: usize } "grid, 4-neighborhood, no wraparound";
+    Torus "torus" AxB { rows: usize in 3.., cols: usize in 3.. } "torus (grid with wraparound)";
+    // Parsed as u32 directly: a usize-then-truncate would let values
+    // like 2^32 wrap past the cap.
+    Hypercube "hypercube" Pos { dim: u32 in ..=24 } "hypercube on 2^dim vertices";
+    Book "book" Pos { pages: usize } "triangles sharing one edge (unbounded degree)";
+    Caterpillar "caterpillar" AxB { spine: usize, legs: usize } "spine path with pendant legs";
+    Gnp "gnp" Named { n: usize, p: f64 in 0.0..=1.0 } "Erdos-Renyi G(n,p), seeded by graph-seed";
+    RandomRegular "random-regular" Named { n: usize, d: usize }
+        where n % 2 == 0 || d % 2 == 0 => "n*d even"
+        where d < n => "d < n"
+        "random simple d-regular graph, seeded";
+    RandomTree "random-tree" Named { n: usize } "uniform random labeled tree, seeded";
+} }
 
 impl GraphSpec {
     /// Parses the value of a `graph=` key (e.g. `torus:256x256`).
     /// Constructor preconditions are checked here so a parsed spec can
     /// never panic a worker at build time.
     pub fn parse(value: &str) -> Result<Self, SpecError> {
-        const KEY: &str = "graph";
-        let (name, args) = match value.split_once(':') {
-            Some((n, a)) => (n, a),
-            None => (value, ""),
-        };
-        let one = |what: &str| -> Result<usize, SpecError> {
-            if args.is_empty() {
-                return Err(bad(KEY, format!("{name} needs {what}, e.g. {name}:16")));
-            }
-            parse_int::<usize>(KEY, args)
-        };
-        let spec = match name {
-            "path" => GraphSpec::Path { n: one("a size")? },
-            "cycle" => {
-                let n = one("a size")?;
-                if n < 3 {
-                    return Err(bad(KEY, "a cycle needs at least 3 vertices"));
-                }
-                GraphSpec::Cycle { n }
-            }
-            "complete" => GraphSpec::Complete { n: one("a size")? },
-            "complete-bipartite" => {
-                let (a, b) = parse_axb(KEY, args)?;
-                GraphSpec::CompleteBipartite { a, b }
-            }
-            "star" => GraphSpec::Star { n: one("a size")? },
-            "grid" => {
-                let (rows, cols) = parse_axb(KEY, args)?;
-                GraphSpec::Grid { rows, cols }
-            }
-            "torus" => {
-                let (rows, cols) = parse_axb(KEY, args)?;
-                if rows < 3 || cols < 3 {
-                    return Err(bad(KEY, "torus sides must be >= 3"));
-                }
-                GraphSpec::Torus { rows, cols }
-            }
-            "hypercube" => {
-                if args.is_empty() {
-                    return Err(bad(KEY, "hypercube needs a dimension, e.g. hypercube:8"));
-                }
-                // Parsed as u32 directly: a usize-then-truncate would
-                // let values like 2^32 wrap past the cap.
-                let dim = parse_int::<u32>(KEY, args)?;
-                if dim > 24 {
-                    return Err(bad(KEY, "hypercube dimension capped at 24"));
-                }
-                GraphSpec::Hypercube { dim }
-            }
-            "book" => GraphSpec::Book {
-                pages: one("a page count")?,
-            },
-            "caterpillar" => {
-                let (spine, legs) = parse_axb(KEY, args)?;
-                GraphSpec::Caterpillar { spine, legs }
-            }
-            "gnp" => {
-                let vals = parse_named(KEY, args, &[("n", None), ("p", None)])?;
-                let n = parse_int::<usize>(KEY, &vals[0])?;
-                let p = parse_int::<f64>(KEY, &vals[1])?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(bad(KEY, format!("gnp probability {p} not in [0, 1]")));
-                }
-                GraphSpec::Gnp { n, p }
-            }
-            "random-regular" => {
-                let vals = parse_named(KEY, args, &[("n", None), ("d", None)])?;
-                let n = parse_int::<usize>(KEY, &vals[0])?;
-                let d = parse_int::<usize>(KEY, &vals[1])?;
-                let stubs = n
-                    .checked_mul(d)
-                    .ok_or_else(|| bad(KEY, format!("random-regular size {n}x{d} overflows")))?;
-                if stubs % 2 != 0 {
-                    return Err(bad(KEY, "random-regular needs n*d even"));
-                }
-                if d >= n {
-                    return Err(bad(KEY, "random-regular needs d < n"));
-                }
-                GraphSpec::RandomRegular { n, d }
-            }
-            "random-tree" => {
-                let vals = parse_named(KEY, args, &[("n", None)])?;
-                GraphSpec::RandomTree {
-                    n: parse_int::<usize>(KEY, &vals[0])?,
-                }
-            }
-            other => {
-                return Err(SpecError::UnknownScenario {
-                    kind: "graph family",
-                    name: other.to_string(),
-                })
-            }
-        };
-        // Sizes are admitted here, not deep in a worker: an empty
-        // vertex set would panic replica jobs in the engine, and a size
-        // past `u32` (or one that wraps `usize`) would panic the graph
-        // builder.
-        match spec.num_vertices() {
-            Some(0) => Err(bad(KEY, format!("{name} needs at least 1 vertex"))),
-            Some(n) if n <= u32::MAX as usize => Ok(spec),
+        Self::parse_scenario(value)
+    }
+
+    /// Sizes are admitted at parse time, not deep in a worker: an empty
+    /// vertex set would panic replica jobs in the engine, and a size
+    /// past `u32` (or one that wraps `usize`) would panic the graph
+    /// builder.
+    fn admit_size(self) -> Result<Self, SpecError> {
+        let name = self.visit(|name, _, _| name);
+        match self.num_vertices() {
+            Some(0) => Err(bad(Self::KEY, format!("{name} needs at least 1 vertex"))),
+            Some(n) if n <= u32::MAX as usize => Ok(self),
             _ => Err(bad(
-                KEY,
+                Self::KEY,
                 format!("{name} has more than {} vertices", u32::MAX),
             )),
         }
@@ -421,26 +680,6 @@ impl GraphSpec {
     }
 }
 
-impl fmt::Display for GraphSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            GraphSpec::Path { n } => write!(f, "path:{n}"),
-            GraphSpec::Cycle { n } => write!(f, "cycle:{n}"),
-            GraphSpec::Complete { n } => write!(f, "complete:{n}"),
-            GraphSpec::CompleteBipartite { a, b } => write!(f, "complete-bipartite:{a}x{b}"),
-            GraphSpec::Star { n } => write!(f, "star:{n}"),
-            GraphSpec::Grid { rows, cols } => write!(f, "grid:{rows}x{cols}"),
-            GraphSpec::Torus { rows, cols } => write!(f, "torus:{rows}x{cols}"),
-            GraphSpec::Hypercube { dim } => write!(f, "hypercube:{dim}"),
-            GraphSpec::Book { pages } => write!(f, "book:{pages}"),
-            GraphSpec::Caterpillar { spine, legs } => write!(f, "caterpillar:{spine}x{legs}"),
-            GraphSpec::Gnp { n, p } => write!(f, "gnp:n={n},p={p}"),
-            GraphSpec::RandomRegular { n, d } => write!(f, "random-regular:n={n},d={d}"),
-            GraphSpec::RandomTree { n } => write!(f, "random-tree:n={n}"),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Model scenarios
 // ---------------------------------------------------------------------
@@ -474,79 +713,27 @@ pub enum ModelSpec {
     Mis,
 }
 
+// The ranges are the model constructors' preconditions (finite
+// activities, a `q × q` table that fits in memory), so a parsed model
+// always builds.
+scenarios! { ModelSpec, "model" {
+    Coloring "coloring" Named { q: usize in COLORS } "uniform proper q-colorings";
+    ListColoring "list-coloring" Named { q: usize in COLORS, size: usize in 1.. }
+        where size <= q => "size <= q"
+        "list colorings, pseudorandom size-lists from graph-seed";
+    Hardcore "hardcore" Named { lambda: f64 in POSITIVE } "hardcore model, weight lambda^|I|";
+    IndependentSet "independent-set" Bare {} "uniform independent sets (hardcore, lambda=1)";
+    VertexCover "vertex-cover" Bare {} "uniform vertex covers";
+    Ising "ising" Named { beta: f64 in POSITIVE } "Ising model (beta>1 ferro, beta<1 antiferro)";
+    Potts "potts" Named { q: usize in COLORS, beta: f64 in POSITIVE } "q-state Potts model";
+    DominatingSet "dominating-set" Bare {} "uniform dominating sets (weighted CSP)";
+    Mis "mis" Bare {} "uniform maximal independent sets (weighted CSP)";
+} }
+
 impl ModelSpec {
     /// Parses the value of a `model=` key (e.g. `ising:beta=0.4`).
     pub fn parse(value: &str) -> Result<Self, SpecError> {
-        const KEY: &str = "model";
-        let (name, args) = match value.split_once(':') {
-            Some((n, a)) => (n, a),
-            None => (value, ""),
-        };
-        let no_args = |spec: ModelSpec| -> Result<ModelSpec, SpecError> {
-            if args.is_empty() {
-                Ok(spec)
-            } else {
-                Err(bad(KEY, format!("{name} takes no arguments, got {args:?}")))
-            }
-        };
-        match name {
-            "coloring" => {
-                let vals = parse_named(KEY, args, &[("q", None)])?;
-                let q = parse_int::<usize>(KEY, &vals[0])?;
-                if q < 2 {
-                    return Err(bad(KEY, "coloring needs q >= 2"));
-                }
-                Ok(ModelSpec::Coloring { q })
-            }
-            "list-coloring" => {
-                let vals = parse_named(KEY, args, &[("q", None), ("size", None)])?;
-                let q = parse_int::<usize>(KEY, &vals[0])?;
-                let size = parse_int::<usize>(KEY, &vals[1])?;
-                if q < 2 {
-                    return Err(bad(KEY, "list-coloring needs q >= 2"));
-                }
-                if size == 0 || size > q {
-                    return Err(bad(KEY, "list-coloring needs 1 <= size <= q"));
-                }
-                Ok(ModelSpec::ListColoring { q, size })
-            }
-            "hardcore" => {
-                let vals = parse_named(KEY, args, &[("lambda", None)])?;
-                let lambda = parse_int::<f64>(KEY, &vals[0])?;
-                if !(lambda > 0.0) {
-                    return Err(bad(KEY, "hardcore needs lambda > 0"));
-                }
-                Ok(ModelSpec::Hardcore { lambda })
-            }
-            "independent-set" => no_args(ModelSpec::IndependentSet),
-            "vertex-cover" => no_args(ModelSpec::VertexCover),
-            "ising" => {
-                let vals = parse_named(KEY, args, &[("beta", None)])?;
-                let beta = parse_int::<f64>(KEY, &vals[0])?;
-                if !(beta > 0.0) {
-                    return Err(bad(KEY, "ising needs beta > 0"));
-                }
-                Ok(ModelSpec::Ising { beta })
-            }
-            "potts" => {
-                let vals = parse_named(KEY, args, &[("q", None), ("beta", None)])?;
-                let q = parse_int::<usize>(KEY, &vals[0])?;
-                let beta = parse_int::<f64>(KEY, &vals[1])?;
-                if q < 2 {
-                    return Err(bad(KEY, "potts needs q >= 2"));
-                }
-                if !(beta > 0.0) {
-                    return Err(bad(KEY, "potts needs beta > 0"));
-                }
-                Ok(ModelSpec::Potts { q, beta })
-            }
-            "dominating-set" => no_args(ModelSpec::DominatingSet),
-            "mis" => no_args(ModelSpec::Mis),
-            other => Err(SpecError::UnknownScenario {
-                kind: "model",
-                name: other.to_string(),
-            }),
-        }
+        Self::parse_scenario(value)
     }
 
     /// Whether the model is a weighted CSP (built through
@@ -554,21 +741,17 @@ impl ModelSpec {
     pub fn is_csp(&self) -> bool {
         matches!(self, ModelSpec::DominatingSet | ModelSpec::Mis)
     }
-}
 
-impl fmt::Display for ModelSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            ModelSpec::Coloring { q } => write!(f, "coloring:q={q}"),
-            ModelSpec::ListColoring { q, size } => write!(f, "list-coloring:q={q},size={size}"),
-            ModelSpec::Hardcore { lambda } => write!(f, "hardcore:lambda={lambda}"),
-            ModelSpec::IndependentSet => f.write_str("independent-set"),
-            ModelSpec::VertexCover => f.write_str("vertex-cover"),
-            ModelSpec::Ising { beta } => write!(f, "ising:beta={beta}"),
-            ModelSpec::Potts { q, beta } => write!(f, "potts:q={q},beta={beta}"),
-            ModelSpec::DominatingSet => f.write_str("dominating-set"),
-            ModelSpec::Mis => f.write_str("mis"),
+    /// The real-valued arguments of any model row — what `sweep=` can
+    /// vary — in declaration order.
+    fn real_params() -> Vec<&'static str> {
+        let mut params: Vec<&'static str> = Vec::new();
+        for arg in Self::rows().into_iter().flat_map(|r| r.args) {
+            if arg.real && !params.contains(&arg.key) {
+                params.push(arg.key);
+            }
         }
+        params
     }
 }
 
@@ -677,98 +860,18 @@ pub enum JobKind {
     },
 }
 
-impl JobKind {
-    fn parse(value: &str) -> Result<Self, SpecError> {
-        const KEY: &str = "job";
-        let (name, args) = match value.split_once(':') {
-            Some((n, a)) => (n, a),
-            None => (value, ""),
-        };
-        match name {
-            "run" => {
-                if args.is_empty() {
-                    return Ok(JobKind::Run { rounds: 100 });
-                }
-                let vals = parse_named(KEY, args, &[("rounds", None)])?;
-                Ok(JobKind::Run {
-                    rounds: parse_int::<usize>(KEY, &vals[0])?,
-                })
-            }
-            "distribution" => {
-                let vals = parse_named(KEY, args, &[("rounds", None), ("replicas", None)])?;
-                Ok(JobKind::Distribution {
-                    rounds: parse_int::<usize>(KEY, &vals[0])?,
-                    replicas: parse_int::<usize>(KEY, &vals[1])?,
-                })
-            }
-            "tv" => {
-                let vals = parse_named(KEY, args, &[("rounds", None), ("replicas", None)])?;
-                Ok(JobKind::Tv {
-                    rounds: parse_int::<usize>(KEY, &vals[0])?,
-                    replicas: parse_int::<usize>(KEY, &vals[1])?,
-                })
-            }
-            "coalescence" => {
-                let vals = parse_named(KEY, args, &[("trials", None), ("max-rounds", None)])?;
-                Ok(JobKind::Coalescence {
-                    trials: parse_int::<usize>(KEY, &vals[0])?,
-                    max_rounds: parse_int::<usize>(KEY, &vals[1])?,
-                })
-            }
-            "sample" => {
-                let vals =
-                    parse_named(KEY, args, &[("rounds", Some("100")), ("count", Some("1"))])?;
-                let count = parse_int::<usize>(KEY, &vals[1])?;
-                if count == 0 {
-                    return Err(bad(KEY, "sample needs count >= 1"));
-                }
-                Ok(JobKind::Sample {
-                    rounds: parse_int::<usize>(KEY, &vals[0])?,
-                    count,
-                })
-            }
-            "stream" => {
-                let vals =
-                    parse_named(KEY, args, &[("rounds", Some("100")), ("every", Some("1"))])?;
-                let every = parse_int::<usize>(KEY, &vals[1])?;
-                if every == 0 {
-                    return Err(bad(KEY, "stream needs every >= 1"));
-                }
-                Ok(JobKind::Stream {
-                    rounds: parse_int::<usize>(KEY, &vals[0])?,
-                    every,
-                })
-            }
-            other => Err(SpecError::UnknownScenario {
-                kind: "job",
-                name: other.to_string(),
-            }),
-        }
-    }
-}
-
-impl fmt::Display for JobKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            JobKind::Run { rounds } => write!(f, "run:rounds={rounds}"),
-            JobKind::Distribution { rounds, replicas } => {
-                write!(f, "distribution:rounds={rounds},replicas={replicas}")
-            }
-            JobKind::Tv { rounds, replicas } => {
-                write!(f, "tv:rounds={rounds},replicas={replicas}")
-            }
-            JobKind::Coalescence { trials, max_rounds } => {
-                write!(f, "coalescence:trials={trials},max-rounds={max_rounds}")
-            }
-            JobKind::Sample { rounds, count } => {
-                write!(f, "sample:rounds={rounds},count={count}")
-            }
-            JobKind::Stream { rounds, every } => {
-                write!(f, "stream:rounds={rounds},every={every}")
-            }
-        }
-    }
-}
+scenarios! { JobKind, "job" {
+    Run "run" Named { rounds: usize = 100 } "advance one trajectory (the default job)";
+    Distribution "distribution" Named { rounds: usize, replicas: usize in 1.. }
+        "empirical distribution of iid replicas (MRF)";
+    Tv "tv" Named { rounds: usize, replicas: usize in 1.. } "empirical TV to exact Gibbs (small MRF)";
+    Coalescence "coalescence" Named { trials: usize in 1.., max_rounds "max-rounds": usize }
+        "grand-coupling coalescence rounds (MRF)";
+    Sample "sample" Named { rounds: usize = 100, count: usize = 1 in 1.. }
+        "ship count final configurations";
+    Stream "stream" Named { rounds: usize = 100, every: usize = 1 in 1.. }
+        "stream the state every `every` rounds";
+} }
 
 // ---------------------------------------------------------------------
 // The spec itself
@@ -1184,127 +1287,193 @@ fn run_sliced(
     }
 }
 
-impl fmt::Display for JobSpec {
-    /// The canonical form: keys in fixed order, unset keys omitted.
-    /// Parsing the printed form reproduces the identical spec.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "graph={} model={}", self.graph, self.model)?;
-        if let Some(a) = self.algorithm {
-            write!(f, " algorithm={a}")?;
+// ---------------------------------------------------------------------
+// The key table
+// ---------------------------------------------------------------------
+
+/// Declares the top-level keys of a single-job line, in canonical print
+/// order: the required ones, then the optional ones with their spec
+/// key (default: the field name), value type and, for plain numbers, a
+/// registry summary. Generates `JobSpec`'s parse and print and the
+/// registry's per-key rows.
+macro_rules! spec_keys {
+    (required { $($r:ident: $rt:ident),* $(,)? }
+     optional { $($o:ident $($okey:literal)?: $ot:ident $($note:literal)?),* $(,)? }) => {
+        /// Every key of a single-job line, in canonical print order.
+        const JOB_KEYS: &[&str] = &[$(stringify!($r),)* $(spec_keys!(@key $o $($okey)?),)*];
+
+        /// The keys every line must give.
+        pub(crate) const REQUIRED_KEYS: &[&str] = &[$(stringify!($r)),*];
+
+        impl fmt::Display for JobSpec {
+            /// The canonical form: keys in fixed order, unset keys omitted.
+            /// Parsing the printed form reproduces the identical spec.
+            #[allow(unused_assignments)]
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut sep = "";
+                $(
+                    write!(f, "{sep}{}={}", stringify!($r), self.$r)?;
+                    sep = " ";
+                )*
+                $(if let Some(value) = &self.$o {
+                    write!(f, "{sep}{}={value}", spec_keys!(@key $o $($okey)?))?;
+                    sep = " ";
+                })*
+                Ok(())
+            }
         }
-        if let Some(s) = self.scheduler {
-            write!(f, " scheduler={s}")?;
+
+        impl FromStr for JobSpec {
+            type Err = SpecError;
+
+            fn from_str(s: &str) -> Result<Self, Self::Err> {
+                $(let mut $r: Option<$rt> = None;)*
+                $(let mut $o: Option<$ot> = None;)*
+                for token in s.split_whitespace() {
+                    let (key, value) = token.split_once('=').ok_or_else(|| SpecError::NotKeyValue {
+                        token: token.to_string(),
+                    })?;
+                    match key {
+                        $(stringify!($r) => set(&mut $r, key, $rt::parse_value(key, value)?)?,)*
+                        $(spec_keys!(@key $o $($okey)?) => set(&mut $o, key, $ot::parse_value(key, value)?)?,)*
+                        other => {
+                            return Err(SpecError::UnknownKey {
+                                key: other.to_string(),
+                            })
+                        }
+                    }
+                }
+                Ok(JobSpec {
+                    $($r: $r.ok_or(SpecError::MissingKey { key: stringify!($r) })?,)*
+                    $($o,)*
+                })
+            }
         }
-        if let Some(b) = self.backend {
-            write!(f, " backend={b}")?;
+
+        /// The registry rows of every single-job key.
+        fn job_key_entries() -> Vec<ScenarioEntry> {
+            let mut out = Vec::new();
+            $(push_entries::<$rt>(&mut out, stringify!($r), "");)*
+            $(push_entries::<$ot>(&mut out, spec_keys!(@key $o $($okey)?), spec_keys!(@note $($note)?));)*
+            out
         }
-        if let Some(p) = self.partitioner {
-            write!(f, " partitioner={p}")?;
-        }
-        if let Some(h) = self.hotpath {
-            write!(f, " hotpath={h}")?;
-        }
-        if let Some(s) = self.seed {
-            write!(f, " seed={s}")?;
-        }
-        if let Some(s) = self.graph_seed {
-            write!(f, " graph-seed={s}")?;
-        }
-        if let Some(b) = self.burn_in {
-            write!(f, " burn-in={b}")?;
-        }
-        if let Some(j) = self.job {
-            write!(f, " job={j}")?;
-        }
-        Ok(())
+    };
+    (@key $f:ident $key:literal) => { $key };
+    (@key $f:ident) => { stringify!($f) };
+    (@note $note:literal) => { $note };
+    (@note) => { "" };
+}
+
+spec_keys! {
+    required { graph: GraphSpec, model: ModelSpec }
+    optional {
+        algorithm: Algorithm,
+        scheduler: Sched,
+        backend: Backend,
+        partitioner: Partitioner,
+        hotpath: HotPath,
+        seed: u64 "the chain master seed (default 0)",
+        graph_seed "graph-seed": u64 "the random-graph seed (default: the chain seed)",
+        burn_in "burn-in": usize "rounds run before the job's rounds (default 0)",
+        job: JobKind,
     }
 }
 
-impl FromStr for JobSpec {
-    type Err = SpecError;
+/// Refuses a second value for `key`.
+fn fresh<T>(slot: &Option<T>, key: &str) -> Result<(), SpecError> {
+    match slot {
+        Some(_) => Err(SpecError::DuplicateKey {
+            key: key.to_string(),
+        }),
+        None => Ok(()),
+    }
+}
 
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut graph = None;
-        let mut model = None;
-        let mut algorithm = None;
-        let mut scheduler = None;
-        let mut backend = None;
-        let mut partitioner = None;
-        let mut hotpath = None;
-        let mut seed = None;
-        let mut graph_seed = None;
-        let mut burn_in = None;
-        let mut job = None;
+/// Stores the value of `key`, refusing a second one.
+fn set<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), SpecError> {
+    fresh(slot, key)?;
+    *slot = Some(value);
+    Ok(())
+}
 
-        fn set<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), SpecError> {
-            if slot.is_some() {
-                return Err(SpecError::DuplicateKey {
-                    key: key.to_string(),
-                });
+/// Appends `T`'s listing under `key`; lines without a summary of their
+/// own take `note`.
+fn push_entries<T: Vocab>(out: &mut Vec<ScenarioEntry>, key: &'static str, note: &str) {
+    for (syntax, summary) in T::listing() {
+        let summary = if summary.is_empty() {
+            note.to_string()
+        } else {
+            summary
+        };
+        out.push(ScenarioEntry {
+            key,
+            syntax,
+            summary,
+        });
+    }
+}
+
+macro_rules! number_vocab {
+    ($($T:ident),*) => {$(
+        impl Vocab for $T {
+            fn parse_value(key: &str, value: &str) -> Result<Self, SpecError> {
+                parse_num(key, value)
             }
-            *slot = Some(value);
-            Ok(())
-        }
 
-        for token in s.split_whitespace() {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| SpecError::NotKeyValue {
-                    token: token.to_string(),
-                })?;
-            match key {
-                "graph" => set(&mut graph, key, GraphSpec::parse(value)?)?,
-                "model" => set(&mut model, key, ModelSpec::parse(value)?)?,
-                "algorithm" => set(
-                    &mut algorithm,
-                    key,
-                    value.parse::<Algorithm>().map_err(|m| bad(key, m))?,
-                )?,
-                "scheduler" => set(
-                    &mut scheduler,
-                    key,
-                    value.parse::<Sched>().map_err(|m| bad(key, m))?,
-                )?,
-                "backend" => set(
-                    &mut backend,
-                    key,
-                    value.parse::<Backend>().map_err(|m| bad(key, m))?,
-                )?,
-                "partitioner" => set(
-                    &mut partitioner,
-                    key,
-                    value.parse::<Partitioner>().map_err(|m| bad(key, m))?,
-                )?,
-                "hotpath" => set(
-                    &mut hotpath,
-                    key,
-                    value.parse::<HotPath>().map_err(|m| bad(key, m))?,
-                )?,
-                "seed" => set(&mut seed, key, parse_int::<u64>(key, value)?)?,
-                "graph-seed" => set(&mut graph_seed, key, parse_int::<u64>(key, value)?)?,
-                "burn-in" => set(&mut burn_in, key, parse_int::<usize>(key, value)?)?,
-                "job" => set(&mut job, key, JobKind::parse(value)?)?,
-                other => {
-                    return Err(SpecError::UnknownKey {
-                        key: other.to_string(),
-                    })
-                }
+            fn listing() -> Vec<(String, String)> {
+                vec![(concat!("<", stringify!($T), ">").to_string(), String::new())]
             }
         }
+    )*};
+}
 
-        Ok(JobSpec {
-            graph: graph.ok_or(SpecError::MissingKey { key: "graph" })?,
-            model: model.ok_or(SpecError::MissingKey { key: "model" })?,
-            algorithm,
-            scheduler,
-            backend,
-            partitioner,
-            hotpath,
-            seed,
-            graph_seed,
-            burn_in,
-            job,
-        })
+number_vocab!(u64, usize);
+
+/// The facade's own vocabularies: parsed by their `FromStr`, listed
+/// from these lines.
+macro_rules! facade_vocab {
+    ($($T:ident { $($syntax:literal $summary:literal,)* })*) => {$(
+        impl Vocab for $T {
+            fn parse_value(key: &str, value: &str) -> Result<Self, SpecError> {
+                value.parse().map_err(|message: String| bad(key, message))
+            }
+
+            fn listing() -> Vec<(String, String)> {
+                vec![$(($syntax.to_string(), $summary.to_string())),*]
+            }
+        }
+    )*};
+}
+
+facade_vocab! {
+    Algorithm {
+        "local-metropolis" "Algorithm 2 (default on MRFs)",
+        "local-metropolis-no-rule3" "E9 ablation (wrong chain, MRF only)",
+        "luby-glauber" "Algorithm 1 (default on CSPs)",
+        "glauber" "sequential heat-bath baseline",
+        "metropolis" "sequential single-site Metropolis baseline",
+    }
+    Sched {
+        "luby" "the paper's Luby step (default)",
+        "singleton" "one uniform vertex per round",
+        "bernoulli:<p>" "Bernoulli volunteering, p in (0, 1]",
+        "chromatic" "greedy-coloring class scan",
+    }
+    Backend {
+        "sequential" "one vertex after another (default)",
+        "parallel:<threads>" "scoped-thread fork-join (0 = auto)",
+        "sharded:<shards>" "owner-computes shards with boundary exchange (0 = auto)",
+        "cluster:<shards>" "cross-process worker fleet (in-process fallback when run locally)",
+    }
+    Partitioner {
+        "contiguous" "balanced contiguous index blocks (default)",
+        "bfs" "BFS-grown regions",
+        "greedy" "greedy edge-cut minimization",
+    }
+    HotPath {
+        "scalar" "per-vertex reference kernels (the bit-identity oracle)",
+        "lanes[:<auto|wide|byte|bit>][:<block|pervertex>]"
+            "lane-batched kernels (default lanes:auto:block)",
     }
 }
 
@@ -1546,38 +1715,19 @@ impl PartialEq for JobResult {
 /// `seeds=0..999999999` must be a parse error, not a queue flood.
 pub const MAX_SWEEP_JOBS: usize = 4096;
 
-/// Which model parameter a `sweep=` clause varies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepParam {
-    /// The inverse temperature of `ising` / `potts`.
-    Beta,
-    /// The fugacity of `hardcore`.
-    Lambda,
-}
-
-impl SweepParam {
-    /// The spec-string name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepParam::Beta => "beta",
-            SweepParam::Lambda => "lambda",
-        }
-    }
-}
-
-impl fmt::Display for SweepParam {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The seed-range clause key.
+const SEEDS: &str = "seeds";
+/// The parameter-ladder clause key.
+const SWEEP: &str = "sweep";
 
 /// A `sweep=param:start..end:step` clause: an inclusive arithmetic
-/// ladder of model-parameter values.
+/// ladder of values for one real-valued model argument.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ParamSweep {
-    /// The swept parameter.
-    pub param: SweepParam,
-    /// First value (must be > 0: every swept model requires it).
+    /// The swept argument, by its key in the model's row (`beta`,
+    /// `lambda`).
+    pub param: &'static str,
+    /// First value.
     pub start: f64,
     /// Last value covered (inclusive up to float rounding).
     pub end: f64,
@@ -1587,71 +1737,71 @@ pub struct ParamSweep {
 
 impl ParamSweep {
     fn parse(value: &str) -> Result<Self, SpecError> {
-        const KEY: &str = "sweep";
         let (name, rest) = value.split_once(':').ok_or_else(|| {
             bad(
-                KEY,
+                SWEEP,
                 format!("expected param:start..end:step, got {value:?}"),
             )
         })?;
-        let param = match name {
-            "beta" => SweepParam::Beta,
-            "lambda" => SweepParam::Lambda,
-            other => {
-                return Err(bad(
-                    KEY,
-                    format!("unknown sweep parameter {other:?} (expected beta | lambda)"),
-                ))
-            }
-        };
+        let params = ModelSpec::real_params();
+        let param = params.iter().copied().find(|&p| p == name).ok_or_else(|| {
+            bad(
+                SWEEP,
+                format!(
+                    "unknown sweep parameter {name:?} (expected {})",
+                    params.join(" | ")
+                ),
+            )
+        })?;
         let (range, step) = rest
             .rsplit_once(':')
-            .ok_or_else(|| bad(KEY, format!("expected start..end:step, got {rest:?}")))?;
+            .ok_or_else(|| bad(SWEEP, format!("expected start..end:step, got {rest:?}")))?;
         let (start, end) = range
             .split_once("..")
-            .ok_or_else(|| bad(KEY, format!("expected start..end, got {range:?}")))?;
-        let start = parse_int::<f64>(KEY, start)?;
-        let end = parse_int::<f64>(KEY, end)?;
-        let step = parse_int::<f64>(KEY, step)?;
-        if !(start > 0.0) || !start.is_finite() {
-            return Err(bad(KEY, "sweep start must be a finite number > 0"));
-        }
-        if !(step > 0.0) || !step.is_finite() {
-            return Err(bad(KEY, "sweep step must be a finite number > 0"));
-        }
-        if !(end >= start) || !end.is_finite() {
-            return Err(bad(KEY, "sweep needs start <= end"));
-        }
+            .ok_or_else(|| bad(SWEEP, format!("expected start..end, got {range:?}")))?;
         let sweep = ParamSweep {
             param,
-            start,
-            end,
-            step,
+            start: parse_num(SWEEP, start)?,
+            end: parse_num(SWEEP, end)?,
+            step: parse_num(SWEEP, step)?,
         };
-        if sweep.len() > MAX_SWEEP_JOBS {
+        if !(sweep.step > 0.0) || !sweep.step.is_finite() {
+            return Err(bad(SWEEP, "sweep step must be a finite number > 0"));
+        }
+        if !(sweep.end >= sweep.start) || !sweep.end.is_finite() {
+            return Err(bad(SWEEP, "sweep needs start <= end"));
+        }
+        // Compared as a float: the count of a ladder like 1..1e308:1e-300
+        // is past any integer.
+        if !(sweep.count() <= MAX_SWEEP_JOBS as f64) {
             return Err(bad(
-                KEY,
+                SWEEP,
                 format!(
                     "sweep expands to {} values (cap {MAX_SWEEP_JOBS})",
-                    sweep.len()
+                    sweep.count()
                 ),
             ));
         }
         Ok(sweep)
     }
 
-    /// Number of ladder values.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    /// The number of ladder values, as a float (possibly infinite).
+    fn count(&self) -> f64 {
         // A hair of slack so 0.1..0.5:0.1 yields five values despite
         // binary rounding of the quotient.
-        ((self.end - self.start) / self.step + 1e-9).floor() as usize + 1
+        ((self.end - self.start) / self.step + 1e-9).floor() + 1.0
     }
 
-    /// Whether the ladder is empty (it never is — `len() >= 1`).
+    /// Number of ladder values (saturating).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.count() as usize
+    }
+
+    /// Whether the ladder is empty (never for a parsed sweep).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        false
+        self.len() == 0
     }
 
     /// The ladder values, computed as `start + i·step` (no running
@@ -1661,6 +1811,22 @@ impl ParamSweep {
         (0..self.len())
             .map(|i| self.start + i as f64 * self.step)
             .collect()
+    }
+
+    /// `model` with the swept argument set to `value`, range-checked by
+    /// the model's row.
+    fn apply(&self, model: &ModelSpec, value: f64) -> Result<ModelSpec, SpecError> {
+        match model.with_arg(self.param, &value.to_string()) {
+            None => Err(bad(
+                SWEEP,
+                format!("model {model} has no {} parameter", self.param),
+            )),
+            Some(Ok(model)) => Ok(model),
+            Some(Err(SpecError::BadValue { message, .. })) => {
+                Err(bad(SWEEP, format!("{}={value}: {message}", self.param)))
+            }
+            Some(Err(e)) => Err(bad(SWEEP, e.to_string())),
+        }
     }
 }
 
@@ -1712,9 +1878,9 @@ impl SweepSpec {
     /// How many jobs the line expands into.
     #[must_use]
     pub fn job_count(&self) -> usize {
-        let seeds = self.seeds.map_or(1, |(a, b)| (b - a) as usize);
+        let seeds = self.seeds.map_or(1, |(a, b)| b.saturating_sub(a) as usize);
         let values = self.sweep.map_or(1, |s| s.len());
-        seeds * values
+        seeds.saturating_mul(values)
     }
 
     /// Expands into member jobs, seed-major: member `i` covers seed
@@ -1727,30 +1893,23 @@ impl SweepSpec {
             Some((a, b)) => (a..b).map(Some).collect(),
             None => vec![None],
         };
-        let values: Vec<Option<(SweepParam, f64)>> = match self.sweep {
-            Some(s) => s.values().into_iter().map(|v| Some((s.param, v))).collect(),
-            None => vec![None],
+        let models: Vec<ModelSpec> = match self.sweep {
+            // Parse-time validation admits every ladder value.
+            Some(s) => s
+                .values()
+                .into_iter()
+                .map(|v| s.apply(&self.base.model, v).unwrap_or(self.base.model))
+                .collect(),
+            None => vec![self.base.model],
         };
-        let mut jobs = Vec::with_capacity(seeds.len() * values.len());
+        let mut jobs = Vec::with_capacity(seeds.len() * models.len());
         for &seed in &seeds {
-            for &value in &values {
+            for &model in &models {
                 let mut spec = self.base.clone();
                 if let Some(seed) = seed {
                     spec.seed = Some(seed);
                 }
-                if let Some((param, v)) = value {
-                    spec.model = match (param, spec.model) {
-                        (SweepParam::Beta, ModelSpec::Ising { .. }) => ModelSpec::Ising { beta: v },
-                        (SweepParam::Beta, ModelSpec::Potts { q, .. }) => {
-                            ModelSpec::Potts { q, beta: v }
-                        }
-                        (SweepParam::Lambda, ModelSpec::Hardcore { .. }) => {
-                            ModelSpec::Hardcore { lambda: v }
-                        }
-                        // Parse-time validation rejects the mismatch.
-                        (_, m) => m,
-                    };
-                }
+                spec.model = model;
                 jobs.push(spec);
             }
         }
@@ -1764,13 +1923,33 @@ impl fmt::Display for SweepSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.base)?;
         if let Some((a, b)) = self.seeds {
-            write!(f, " seeds={a}..{b}")?;
+            write!(f, " {SEEDS}={a}..{b}")?;
         }
         if let Some(s) = self.sweep {
-            write!(f, " sweep={s}")?;
+            write!(f, " {SWEEP}={s}")?;
         }
         Ok(())
     }
+}
+
+/// Parses the value of `seeds=`: a non-empty half-open range within
+/// the sweep cap.
+fn parse_seeds(value: &str) -> Result<(u64, u64), SpecError> {
+    let (a, b) = value
+        .split_once("..")
+        .ok_or_else(|| bad(SEEDS, format!("expected a half-open a..b, got {value:?}")))?;
+    let a = parse_num::<u64>(SEEDS, a)?;
+    let b = parse_num::<u64>(SEEDS, b)?;
+    if b <= a {
+        return Err(bad(SEEDS, format!("empty seed range {a}..{b}")));
+    }
+    if b - a > MAX_SWEEP_JOBS as u64 {
+        return Err(bad(
+            SEEDS,
+            format!("{} seeds requested (cap {MAX_SWEEP_JOBS})", b - a),
+        ));
+    }
+    Ok((a, b))
 }
 
 impl FromStr for SweepSpec {
@@ -1781,60 +1960,31 @@ impl FromStr for SweepSpec {
         let mut sweep: Option<ParamSweep> = None;
         let mut base_tokens: Vec<&str> = Vec::new();
         for token in s.split_whitespace() {
-            if let Some(value) = token.strip_prefix("seeds=") {
-                if seeds.is_some() {
-                    return Err(SpecError::DuplicateKey {
-                        key: "seeds".to_string(),
-                    });
+            match token.split_once('=') {
+                Some((SEEDS, value)) => {
+                    fresh(&seeds, SEEDS)?;
+                    seeds = Some(parse_seeds(value)?);
                 }
-                let (a, b) = value.split_once("..").ok_or_else(|| {
-                    bad("seeds", format!("expected a half-open a..b, got {value:?}"))
-                })?;
-                let a = parse_int::<u64>("seeds", a)?;
-                let b = parse_int::<u64>("seeds", b)?;
-                if b <= a {
-                    return Err(bad("seeds", format!("empty seed range {a}..{b}")));
+                Some((SWEEP, value)) => {
+                    fresh(&sweep, SWEEP)?;
+                    sweep = Some(ParamSweep::parse(value)?);
                 }
-                if (b - a) as usize > MAX_SWEEP_JOBS {
-                    return Err(bad(
-                        "seeds",
-                        format!("{} seeds requested (cap {MAX_SWEEP_JOBS})", b - a),
-                    ));
-                }
-                seeds = Some((a, b));
-            } else if let Some(value) = token.strip_prefix("sweep=") {
-                if sweep.is_some() {
-                    return Err(SpecError::DuplicateKey {
-                        key: "sweep".to_string(),
-                    });
-                }
-                sweep = Some(ParamSweep::parse(value)?);
-            } else {
-                base_tokens.push(token);
+                _ => base_tokens.push(token),
             }
         }
         let base: JobSpec = base_tokens.join(" ").parse()?;
         if let Some(s) = sweep {
-            let compatible = matches!(
-                (s.param, base.model),
-                (SweepParam::Beta, ModelSpec::Ising { .. })
-                    | (SweepParam::Beta, ModelSpec::Potts { .. })
-                    | (SweepParam::Lambda, ModelSpec::Hardcore { .. })
-            );
-            if !compatible {
-                return Err(bad(
-                    "sweep",
-                    format!("model {} has no {} parameter", base.model, s.param),
-                ));
+            for v in s.values() {
+                s.apply(&base.model, v)?;
             }
         }
         if seeds.is_some() && base.seed.is_some() {
-            return Err(bad("seeds", "seeds=a..b replaces seed=, give one of them"));
+            return Err(bad(SEEDS, "seeds=a..b replaces seed=, give one of them"));
         }
         let sweep = SweepSpec { base, seeds, sweep };
         if sweep.job_count() > MAX_SWEEP_JOBS {
             return Err(bad(
-                "sweep",
+                SWEEP,
                 format!(
                     "line expands to {} jobs (cap {MAX_SWEEP_JOBS})",
                     sweep.job_count()
@@ -1912,322 +2062,83 @@ impl SweepResult {
 // The scenario registry
 // ---------------------------------------------------------------------
 
-/// Which axis of the workload space a registry entry names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// A `graph=` family.
-    Graph,
-    /// A `model=` scenario.
-    Model,
-    /// An `algorithm=` chain.
-    Algorithm,
-    /// A `scheduler=` choice.
-    Scheduler,
-    /// A `backend=` executor.
-    Backend,
-    /// A `partitioner=` choice.
-    Partitioner,
-    /// A `job=` measurement.
-    Job,
-    /// A `seeds=` sweep clause.
-    Seeds,
-    /// A `sweep=` parameter-ladder clause.
-    Sweep,
+/// The kinds [`SpecError::UnknownScenario`] names.
+pub(crate) const SCENARIO_KINDS: [&str; 3] = [GraphSpec::KIND, ModelSpec::KIND, JobKind::KIND];
+
+/// The scenario names of `kind`, in declaration order.
+fn scenario_names(kind: &str) -> &'static [&'static str] {
+    let vocabularies = [
+        (GraphSpec::KIND, GraphSpec::NAMES),
+        (ModelSpec::KIND, ModelSpec::NAMES),
+        (JobKind::KIND, JobKind::NAMES),
+    ];
+    vocabularies
+        .into_iter()
+        .find(|&(k, _)| k == kind)
+        .map_or(&[], |(_, names)| names)
 }
 
-impl ScenarioKind {
-    /// The spec key this kind appears under.
-    pub fn key(self) -> &'static str {
-        match self {
-            ScenarioKind::Graph => "graph",
-            ScenarioKind::Model => "model",
-            ScenarioKind::Algorithm => "algorithm",
-            ScenarioKind::Scheduler => "scheduler",
-            ScenarioKind::Backend => "backend",
-            ScenarioKind::Partitioner => "partitioner",
-            ScenarioKind::Job => "job",
-            ScenarioKind::Seeds => "seeds",
-            ScenarioKind::Sweep => "sweep",
-        }
-    }
-}
-
-/// One recognized scenario: its syntax and a one-line summary.
-#[derive(Clone, Copy, Debug)]
+/// One line of the registry: a key, one syntax it accepts, and what
+/// that syntax means.
+#[derive(Clone, Debug)]
 pub struct ScenarioEntry {
-    /// Which axis the entry belongs to.
-    pub kind: ScenarioKind,
+    /// The spec key the syntax appears under.
+    pub key: &'static str,
     /// The accepted syntax, e.g. `torus:<rows>x<cols>`.
-    pub syntax: &'static str,
-    /// What the scenario is.
-    pub summary: &'static str,
+    pub syntax: String,
+    /// What the scenario is, with its defaults and ranges.
+    pub summary: String,
 }
 
-/// The registry of every scenario the spec grammar accepts — the data
-/// behind `lsl list scenarios`, and the sweep source of the round-trip
-/// property tests.
+/// The registry of everything the spec grammar accepts, walked from
+/// the key table and the scenario rows — the data behind
+/// `lsl list scenarios`.
 pub struct ScenarioRegistry;
 
 impl ScenarioRegistry {
-    /// Every recognized scenario, grouped by kind in declaration order.
-    pub fn entries() -> &'static [ScenarioEntry] {
-        use ScenarioKind as K;
-        const E: &[ScenarioEntry] = &[
-            // graphs
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "path:<n>",
-                summary: "path P_n",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "cycle:<n>",
-                summary: "cycle C_n (n >= 3)",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "complete:<n>",
-                summary: "complete graph K_n",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "complete-bipartite:<a>x<b>",
-                summary: "complete bipartite K_{a,b}",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "star:<n>",
-                summary: "star K_{1,n}",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "grid:<rows>x<cols>",
-                summary: "grid, 4-neighborhood, no wraparound",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "torus:<rows>x<cols>",
-                summary: "torus (grid with wraparound; sides >= 3)",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "hypercube:<d>",
-                summary: "d-dimensional hypercube on 2^d vertices",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "book:<pages>",
-                summary: "triangles sharing one edge (unbounded degree)",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "caterpillar:<spine>x<legs>",
-                summary: "spine path with pendant legs",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "gnp:n=<n>,p=<p>",
-                summary: "Erdos-Renyi G(n,p), seeded by graph-seed",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "random-regular:n=<n>,d=<d>",
-                summary: "random simple d-regular graph, seeded",
-            },
-            ScenarioEntry {
-                kind: K::Graph,
-                syntax: "random-tree:n=<n>",
-                summary: "uniform random labeled tree, seeded",
-            },
-            // models
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "coloring:q=<q>",
-                summary: "uniform proper q-colorings",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "list-coloring:q=<q>,size=<k>",
-                summary: "list colorings, pseudorandom k-lists from graph-seed",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "hardcore:lambda=<l>",
-                summary: "hardcore model, weight lambda^|I|",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "independent-set",
-                summary: "uniform independent sets (hardcore, lambda=1)",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "vertex-cover",
-                summary: "uniform vertex covers",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "ising:beta=<b>",
-                summary: "Ising model (beta>1 ferro, beta<1 antiferro)",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "potts:q=<q>,beta=<b>",
-                summary: "q-state Potts model",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "dominating-set",
-                summary: "uniform dominating sets (weighted CSP)",
-            },
-            ScenarioEntry {
-                kind: K::Model,
-                syntax: "mis",
-                summary: "uniform maximal independent sets (weighted CSP)",
-            },
-            // algorithms
-            ScenarioEntry {
-                kind: K::Algorithm,
-                syntax: "local-metropolis",
-                summary: "Algorithm 2 (default on MRFs)",
-            },
-            ScenarioEntry {
-                kind: K::Algorithm,
-                syntax: "local-metropolis-no-rule3",
-                summary: "E9 ablation (wrong chain, MRF only)",
-            },
-            ScenarioEntry {
-                kind: K::Algorithm,
-                syntax: "luby-glauber",
-                summary: "Algorithm 1 (default on CSPs)",
-            },
-            ScenarioEntry {
-                kind: K::Algorithm,
-                syntax: "glauber",
-                summary: "sequential heat-bath baseline",
-            },
-            ScenarioEntry {
-                kind: K::Algorithm,
-                syntax: "metropolis",
-                summary: "sequential single-site Metropolis baseline",
-            },
-            // schedulers
-            ScenarioEntry {
-                kind: K::Scheduler,
-                syntax: "luby",
-                summary: "the paper's Luby step (default)",
-            },
-            ScenarioEntry {
-                kind: K::Scheduler,
-                syntax: "singleton",
-                summary: "one uniform vertex per round",
-            },
-            ScenarioEntry {
-                kind: K::Scheduler,
-                syntax: "bernoulli:<p>",
-                summary: "Bernoulli volunteering, p in (0, 1]",
-            },
-            ScenarioEntry {
-                kind: K::Scheduler,
-                syntax: "chromatic",
-                summary: "greedy-coloring class scan",
-            },
-            // backends
-            ScenarioEntry {
-                kind: K::Backend,
-                syntax: "sequential",
-                summary: "one vertex after another (default)",
-            },
-            ScenarioEntry {
-                kind: K::Backend,
-                syntax: "parallel:<threads>",
-                summary: "scoped-thread fork-join (0 = auto)",
-            },
-            ScenarioEntry {
-                kind: K::Backend,
-                syntax: "sharded:<shards>",
-                summary: "owner-computes shards with boundary exchange (0 = auto)",
-            },
-            ScenarioEntry {
-                kind: K::Backend,
-                syntax: "cluster:<shards>",
-                summary: "cross-process worker fleet (in-process fallback when run locally)",
-            },
-            // partitioners
-            ScenarioEntry {
-                kind: K::Partitioner,
-                syntax: "contiguous",
-                summary: "balanced contiguous index blocks (default)",
-            },
-            ScenarioEntry {
-                kind: K::Partitioner,
-                syntax: "bfs",
-                summary: "BFS-grown regions",
-            },
-            ScenarioEntry {
-                kind: K::Partitioner,
-                syntax: "greedy",
-                summary: "greedy edge-cut minimization",
-            },
-            // jobs
-            ScenarioEntry {
-                kind: K::Job,
-                syntax: "run:rounds=<n>",
-                summary: "advance one trajectory (default, rounds=100)",
-            },
-            ScenarioEntry {
-                kind: K::Job,
-                syntax: "distribution:rounds=<n>,replicas=<b>",
-                summary: "empirical distribution of b iid replicas (MRF)",
-            },
-            ScenarioEntry {
-                kind: K::Job,
-                syntax: "tv:rounds=<n>,replicas=<b>",
-                summary: "empirical TV to exact Gibbs (small MRF)",
-            },
-            ScenarioEntry {
-                kind: K::Job,
-                syntax: "coalescence:trials=<t>,max-rounds=<m>",
-                summary: "grand-coupling coalescence rounds (MRF)",
-            },
-            ScenarioEntry {
-                kind: K::Job,
-                syntax: "sample:rounds=<n>,count=<k>",
-                summary: "ship k final configurations (defaults 100,1)",
-            },
-            ScenarioEntry {
-                kind: K::Job,
-                syntax: "stream:rounds=<n>,every=<k>",
-                summary: "stream the state every k rounds (defaults 100,1)",
-            },
-            // sweep clauses
-            ScenarioEntry {
-                kind: K::Seeds,
-                syntax: "<a>..<b>",
-                summary: "expand the line into one job per seed in [a, b)",
-            },
-            ScenarioEntry {
-                kind: K::Sweep,
-                syntax: "<beta|lambda>:<start>..<end>:<step>",
-                summary: "expand into one job per model-parameter value",
-            },
-        ];
-        E
+    /// Every key's accepted syntaxes, grouped by key in canonical
+    /// order, then the sweep clauses.
+    pub fn entries() -> Vec<ScenarioEntry> {
+        let mut out = job_key_entries();
+        out.push(ScenarioEntry {
+            key: SEEDS,
+            syntax: "<a>..<b>".into(),
+            summary: format!(
+                "expand the line into one job per seed in [a, b) [cap {MAX_SWEEP_JOBS}]"
+            ),
+        });
+        out.push(ScenarioEntry {
+            key: SWEEP,
+            syntax: format!(
+                "<{}>:<start>..<end>:<step>",
+                ModelSpec::real_params().join("|")
+            ),
+            summary: format!(
+                "expand into one job per model-parameter value [cap {MAX_SWEEP_JOBS}]"
+            ),
+        });
+        out
     }
 
-    /// A ready-to-print listing, grouped by kind.
+    /// A ready-to-print listing, grouped by key.
     pub fn render() -> String {
         let mut out = String::new();
-        let mut last: Option<ScenarioKind> = None;
+        let mut last: Option<&str> = None;
         for e in Self::entries() {
-            if last != Some(e.kind) {
+            if last != Some(e.key) {
                 if last.is_some() {
                     out.push('\n');
                 }
-                out.push_str(&format!("{}=\n", e.kind.key()));
-                last = Some(e.kind);
+                out.push_str(&format!("{}=\n", e.key));
+                last = Some(e.key);
             }
-            out.push_str(&format!("  {:42} {}\n", e.syntax, e.summary));
+            // A long syntax gets the summary on a line of its own.
+            let syntax = if e.syntax.len() > 42 {
+                format!("{}\n  {:42}", e.syntax, "")
+            } else {
+                e.syntax
+            };
+            out.push_str(&format!("  {syntax:42} {}\n", e.summary));
         }
         out
     }
@@ -2507,7 +2418,7 @@ mod tests {
         ];
         let graph_entries = ScenarioRegistry::entries()
             .iter()
-            .filter(|e| e.kind == ScenarioKind::Graph)
+            .filter(|e| e.key == "graph")
             .count();
         assert_eq!(known_graphs.len(), graph_entries);
         for g in known_graphs {
@@ -2526,7 +2437,7 @@ mod tests {
         ];
         let model_entries = ScenarioRegistry::entries()
             .iter()
-            .filter(|e| e.kind == ScenarioKind::Model)
+            .filter(|e| e.key == "model")
             .count();
         assert_eq!(known_models.len(), model_entries);
         for m in known_models {
@@ -2544,5 +2455,79 @@ mod tests {
                 _ => unreachable!(),
             }
         }
+    }
+
+    #[test]
+    fn model_preconditions_are_parse_errors() {
+        // Each line used to parse, then abort the process, panic the job
+        // or report a meaningless value; the descriptor ranges now
+        // reject them before anything is built.
+        for (line, key) in [
+            ("graph=cycle:5 model=coloring:q=70000", "model"),
+            ("graph=cycle:5 model=coloring:q=5000000000", "model"),
+            (
+                "graph=cycle:5 model=list-coloring:q=5000000000,size=2",
+                "model",
+            ),
+            ("graph=cycle:5 model=potts:q=70000,beta=0.5", "model"),
+            ("graph=cycle:5 model=ising:beta=inf", "model"),
+            ("graph=cycle:5 model=potts:q=3,beta=inf", "model"),
+            ("graph=cycle:5 model=hardcore:lambda=inf", "model"),
+            (
+                "graph=cycle:5 model=coloring:q=3 job=tv:rounds=1,replicas=0",
+                "job",
+            ),
+            (
+                "graph=cycle:5 model=coloring:q=3 job=distribution:rounds=1,replicas=0",
+                "job",
+            ),
+            (
+                "graph=cycle:5 model=coloring:q=3 job=coalescence:trials=0,max-rounds=10",
+                "job",
+            ),
+        ] {
+            match line.parse::<JobSpec>() {
+                Err(SpecError::BadValue { key: k, .. }) => assert_eq!(k, key, "{line}"),
+                other => panic!("{line} should be a bad {key} value, got {other:?}"),
+            }
+        }
+        // The cap itself builds and runs.
+        let spec = parse("graph=path:2 model=coloring:q=1024 job=run:rounds=1");
+        assert!(spec.run().is_ok());
+    }
+
+    #[test]
+    fn overflowing_sweep_ladders_are_parse_errors() {
+        // 1e308 values: cast to usize and incremented, the count used to
+        // wrap to an empty sweep (or panic in a debug build).
+        let line = "graph=cycle:5 model=ising:beta=0.4 sweep=beta:1..1e308:1e-300";
+        match line.parse::<SweepSpec>() {
+            Err(SpecError::BadValue { key, .. }) => assert_eq!(key, "sweep"),
+            other => panic!("expected a bad sweep value, got {other:?}"),
+        }
+        let at_cap: SweepSpec = "graph=cycle:5 model=ising:beta=0.4 sweep=beta:1..4096:1"
+            .parse()
+            .unwrap();
+        assert_eq!(at_cap.job_count(), MAX_SWEEP_JOBS);
+        assert!("graph=cycle:5 model=ising:beta=0.4 sweep=beta:1..4097:1"
+            .parse::<SweepSpec>()
+            .is_err());
+    }
+
+    #[test]
+    fn registry_lists_every_key_and_errors_name_the_rows() {
+        let listing = ScenarioRegistry::render();
+        for key in JOB_KEYS.iter().chain(&[SEEDS, SWEEP]) {
+            assert!(listing.contains(&format!("{key}=\n")), "{key} missing");
+        }
+        assert!(listing.contains("hypercube:<dim>"));
+        let unknown = "graph=moebius:9 model=mis".parse::<JobSpec>().unwrap_err();
+        assert!(unknown.to_string().contains("path | cycle"), "{unknown}");
+        let key = "graph=cycle:5 model=mis colour=1"
+            .parse::<JobSpec>()
+            .unwrap_err();
+        assert!(key.to_string().contains("hotpath | seed"), "{key}");
+        let sweep = "graph=cycle:5 model=mis sweep=q:1..2:1".parse::<SweepSpec>();
+        assert!(matches!(sweep, Err(SpecError::BadValue { key, .. }) if key == "sweep"));
     }
 }

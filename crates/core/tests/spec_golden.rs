@@ -193,6 +193,12 @@ const VALID: &[(&str, &str, &str)] = &[
         "graph=cycle:6 model=hardcore:lambda=1 sweep=lambda:0.5..2:0.5",
         "graph=cycle:6 model=hardcore:lambda=1",
     ),
+    // the largest q a model accepts
+    (
+        "graph=path:2 model=potts:q=1024,beta=2",
+        "graph=path:2 model=potts:q=1024,beta=2",
+        "graph=path:2 model=potts:q=1024,beta=2",
+    ),
 ];
 
 /// `(line, SpecError variant, key)`: the key is the error's `key`
@@ -285,6 +291,19 @@ const MALFORMED: &[(&str, &str, &str)] = &[
         "BadValue",
         "sweep",
     ),
+    // model and job preconditions, checked by the descriptor ranges
+    ("graph=cycle:5 model=coloring:q=70000", "BadValue", "model"),
+    ("graph=cycle:5 model=coloring:q=5000000000", "BadValue", "model"),
+    ("graph=cycle:5 model=list-coloring:q=5000000000,size=2", "BadValue", "model"),
+    ("graph=cycle:5 model=potts:q=70000,beta=0.5", "BadValue", "model"),
+    ("graph=cycle:5 model=ising:beta=inf", "BadValue", "model"),
+    ("graph=cycle:5 model=potts:q=3,beta=inf", "BadValue", "model"),
+    ("graph=cycle:5 model=hardcore:lambda=inf", "BadValue", "model"),
+    ("graph=cycle:5 model=mis job=tv:rounds=1,replicas=0", "BadValue", "job"),
+    ("graph=cycle:5 model=mis job=distribution:rounds=1,replicas=0", "BadValue", "job"),
+    ("graph=cycle:5 model=mis job=coalescence:trials=0,max-rounds=10", "BadValue", "job"),
+    ("graph=cycle:5 model=ising:beta=0.4 sweep=beta:1..1e308:1e-300", "BadValue", "sweep"),
+    ("graph=cycle:5 model=ising:beta=0.4 sweep=beta:-1..0.5:0.5", "BadValue", "sweep"),
 ];
 
 /// The variant name and its key-like field.
