@@ -199,7 +199,7 @@ const COLORS: RangeInclusive<usize> = 2..=MAX_Q;
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Bound::Excluded(0.0), Bound::Excluded(f64::INFINITY));
 
 /// How a scenario's arguments follow its name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Form {
     /// `name`: no arguments.
     Bare,
