@@ -14,7 +14,8 @@
 use lsl_bench::{coalescence_output, f, header, header_row, row, scaled};
 use lsl_core::sampler::Sched;
 use lsl_core::schedule::{
-    BernoulliFilterScheduler, ChromaticScheduler, LubyScheduler, Scheduler, SingletonScheduler,
+    BernoulliFilterScheduler, ChromaticScheduler, LubyScheduler, SingletonScheduler,
+    VertexScheduler,
 };
 use lsl_core::spec::{BuiltModel, JobSpec};
 

@@ -48,11 +48,11 @@ use lsl_mrf::{Mrf, Spin};
 use crate::codec::{Codec, StateBlob};
 use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
 use crate::engine::sharded::{exchange_plan, CommStats, ExchangePlan, ShardCore};
-use crate::engine::{Packing, RoundCtx, SyncRule};
+use crate::engine::{Model, Packing, RoundCtx, SyncRule};
 use crate::lifecycle::RejectReason;
 use crate::net::{Client, ConnectError, NetError};
 use crate::proto::{ClientFrame, ServerFrame};
-use crate::sampler::{dispatch_rule, Algorithm, Sched};
+use crate::sampler::{dispatch_rule, dispatch_scheduler, Algorithm, Sched};
 use crate::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
 use crate::spec::{
     fingerprint, BuiltModel, CommSummary, JobKind, JobOutput, JobResult, JobSpec, SpecError,
@@ -565,7 +565,7 @@ impl Coordinator {
         let sched = member.scheduler;
         let routing: Vec<Option<VertexId>> = dispatch_rule!(alg, sched, mrf, |rule| {
             (0..total)
-                .map(|r| rule.active_vertex(&RoundCtx::new(mrf, seed, r as u64)))
+                .map(|r| rule.active_vertex(&RoundCtx::new(&**mrf, seed, r as u64)))
                 .collect()
         });
 
@@ -597,9 +597,9 @@ impl Coordinator {
                 fronts[s] = recv_shard_sync(
                     client,
                     worker,
-                    s as u64,
-                    r as u64,
+                    (s as u64, r as u64),
                     plan.boundary_out[s].len(),
+                    q,
                     deadline,
                 )?;
             }
@@ -664,9 +664,9 @@ impl Coordinator {
             let spins = recv_shard_done(
                 client,
                 worker,
-                s as u64,
-                total as u64,
+                (s as u64, total as u64),
                 owned.len(),
+                q,
                 deadline,
             )?;
             for (i, &v) in owned.iter().enumerate() {
@@ -767,13 +767,14 @@ enum DistFailure {
 }
 
 /// Receives one `shard-sync` frame for `(id, round)` and unpacks its
-/// frontier, validating shape.
+/// frontier, validating shape: `expected_len` spins packed at the
+/// model's `q` (a blob at a larger `q` would carry out-of-domain spins).
 fn recv_shard_sync(
     client: &mut Client,
     worker: &str,
-    id: u64,
-    round: u64,
+    (id, round): (u64, u64),
     expected_len: usize,
+    q: usize,
     deadline: Instant,
 ) -> Result<Vec<Spin>, DistFailure> {
     let lost = |detail: String| DistFailure::Lost {
@@ -786,6 +787,12 @@ fn recv_shard_sync(
             round: got_round,
             blob,
         })) if got_id == id && got_round == round => {
+            if blob.q() != q {
+                return Err(lost(format!(
+                    "shard {id} round {round}: frontier packed at q={}, model has q={q}",
+                    blob.q()
+                )));
+            }
             let spins = blob.unpack();
             if spins.len() != expected_len {
                 return Err(lost(format!(
@@ -807,13 +814,13 @@ fn recv_shard_sync(
 }
 
 /// Receives the terminal `shard-done` frame and unpacks the shard's
-/// owned states, validating shape.
+/// owned states, validating shape as [`recv_shard_sync`] does.
 fn recv_shard_done(
     client: &mut Client,
     worker: &str,
-    id: u64,
-    total_rounds: u64,
+    (id, total_rounds): (u64, u64),
     expected_len: usize,
+    q: usize,
     deadline: Instant,
 ) -> Result<Vec<Spin>, DistFailure> {
     let lost = |detail: String| DistFailure::Lost {
@@ -829,6 +836,12 @@ fn recv_shard_done(
             if rounds != total_rounds {
                 return Err(lost(format!(
                     "shard {id}: finished after {rounds} rounds, expected {total_rounds}"
+                )));
+            }
+            if blob.q() != q {
+                return Err(lost(format!(
+                    "shard {id}: owned states packed at q={}, model has q={q}",
+                    blob.q()
                 )));
             }
             let spins = blob.unpack();
@@ -958,9 +971,9 @@ fn drive_shard<R: SyncRule>(
             rule.name()
         ));
     }
-    let mut core = ShardCore::build(mrf, rule, partition, plan, s, start, packing);
+    let mut core = ShardCore::build(&**mrf, rule, partition, plan, s, start, packing);
     for r in 0..total {
-        let ctx = RoundCtx::new(mrf, seed, r as u64);
+        let ctx = RoundCtx::new(&**mrf, seed, r as u64);
         if let Some(v) = rule.active_vertex(&ctx) {
             if partition.shard_of(v) == s {
                 core.resolve_single(rule, &ctx, v);
@@ -984,6 +997,9 @@ fn drive_shard<R: SyncRule>(
             return fail(format!(
                 "shard-sync for round {round} arrived during round {r}"
             ));
+        }
+        if halo.q() != q {
+            return fail(format!("halo packed at q={}, model has q={q}", halo.q()));
         }
         let halo = halo.unpack();
         if halo.len() != core.halo.len() {

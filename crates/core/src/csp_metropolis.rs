@@ -7,49 +7,58 @@
 //! τ ∈ \[q\]^{S_c} obtained from 2^k − 1 ways of mixing σ_{S_c} with
 //! X_{S_c} except the X_{S_c} itself."
 //!
-//! Each step: every vertex proposes a uniform spin; every constraint
-//! flips one shared coin with the mixture-product pass probability; a
-//! vertex accepts iff *all* constraints containing it pass. For binary
-//! edge constraints the mixture product is exactly the three-factor
-//! filter of Algorithm 2, which [`csp_local_metropolis_kernel`]'s tests
-//! verify by comparing kernels entrywise against the MRF chain.
+//! Each round: every vertex proposes a uniform spin; every constraint
+//! flips one shared coin ([`RoundCtx::constraint_coin`]) with the
+//! mixture-product pass probability; a vertex accepts iff *all*
+//! constraints containing it pass. For binary edge constraints the
+//! mixture product is exactly the three-factor filter of Algorithm 2,
+//! which [`csp_local_metropolis_kernel`]'s tests verify by comparing
+//! kernels entrywise against the MRF chain.
 
-use crate::sampler::Chain;
+use crate::engine::{RoundCtx, StateView, SyncRule};
 use lsl_analysis::Kernel;
+use lsl_graph::VertexId;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::csp::{Constraint, Csp};
 use lsl_mrf::gibbs::{checked_pow, decode_config};
 use lsl_mrf::Spin;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The mixture-product pass probability of constraint `c` given the
-/// current spins and proposals of its scope: `Π_{∅ ≠ S ⊆ [k]} f̃(τ_S)`
-/// where `τ_S` takes `σ` on `S` and `X` elsewhere.
+/// current spins and proposals of its scope (read by vertex id):
+/// `Π_{∅ ≠ S ⊆ [k]} f̃(τ_S)` where `τ_S` takes `σ` on `S` and `X`
+/// elsewhere. Allocates nothing: the mixtures are walked in Gray-code
+/// order, so each step moves the table index by one member's
+/// `±(σ_i − X_i)·q^i`.
 pub fn constraint_pass_probability(
     c: &Constraint,
     q: usize,
-    current: &[Spin],
-    proposals: &[Spin],
+    current: impl Fn(u32) -> Spin,
+    proposed: impl Fn(u32) -> Spin,
 ) -> f64 {
-    let k = c.scope().len();
-    debug_assert!(k <= 16, "scope too large for mixture enumeration");
+    let (scope, table) = (c.scope(), c.table());
+    debug_assert!(scope.len() <= 16, "scope too large for mixture enumeration");
     let max = c.max_value();
     if max == 0.0 {
         return 0.0;
     }
-    let mut local = vec![0 as Spin; k];
+    // Table index of X_S (the empty mixture, which is not a factor).
+    let mut idx = scope
+        .iter()
+        .rev()
+        .fold(0usize, |acc, &v| acc * q + current(v) as usize);
     let mut p = 1.0;
-    for mask in 1u32..(1 << k) {
-        for (i, slot) in local.iter_mut().enumerate() {
-            let v = c.scope()[i] as usize;
-            *slot = if (mask >> i) & 1 == 1 {
-                proposals[v]
-            } else {
-                current[v]
-            };
+    for m in 1u32..(1 << scope.len()) {
+        let i = m.trailing_zeros() as usize;
+        let stride = q.pow(i as u32);
+        let (x, s) = (current(scope[i]) as usize, proposed(scope[i]) as usize);
+        // Gray code m ^ (m >> 1): bit i switches to σ_i when set.
+        if (m ^ (m >> 1)) >> i & 1 == 1 {
+            idx = idx - x * stride + s * stride;
+        } else {
+            idx = idx - s * stride + x * stride;
         }
-        p *= c.evaluate_local(q, &local) / max;
+        p *= table[idx] / max;
         if p == 0.0 {
             return 0.0;
         }
@@ -57,8 +66,16 @@ pub fn constraint_pass_probability(
     p
 }
 
-/// LocalMetropolis over a weighted local CSP, built only by the sampler
-/// facade.
+/// LocalMetropolis over a weighted local CSP as an engine rule (the
+/// remark after Algorithm 2).
+///
+/// Propose: a uniform spin from `v`'s stream. Resolve: `v` keeps its
+/// spin unless every constraint containing it passes; each constraint
+/// flips one coin keyed by its index, shared by its whole scope, so all
+/// scope members agree on its outcome. Pass probabilities of exactly 0
+/// or 1 are decided without a coin, as in
+/// [`LocalMetropolisRule`](crate::engine::rules::LocalMetropolisRule),
+/// which makes hard CSPs (dominating sets, MIS) coin-free.
 ///
 /// # Example
 /// ```
@@ -70,6 +87,7 @@ pub fn constraint_pass_probability(
 /// let csp = Csp::dominating_set(Arc::new(generators::cycle(6)));
 /// let mut sampler = Sampler::for_csp(&csp)
 ///     .algorithm(Algorithm::LocalMetropolis)
+///     .backend(Backend::Sharded { shards: 2 })
 ///     .start(vec![1; 6])
 ///     .seed(4)
 ///     .build()
@@ -77,71 +95,61 @@ pub fn constraint_pass_probability(
 /// sampler.run(50);
 /// assert!(csp.is_feasible(sampler.state()));
 /// ```
-#[derive(Clone, Debug)]
-pub(crate) struct CspLocalMetropolis {
-    csp: Arc<Csp>,
-    state: Vec<Spin>,
-    proposals: Vec<Spin>,
-    accept: Vec<bool>,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CspMetropolisRule;
 
-impl CspLocalMetropolis {
-    /// Creates the chain from an explicit start.
-    ///
-    /// # Panics
-    /// Panics if the start has the wrong length.
-    pub(crate) fn new(csp: Arc<Csp>, start: Vec<Spin>) -> Self {
-        assert_eq!(start.len(), csp.graph().num_vertices());
-        let n = start.len();
-        CspLocalMetropolis {
-            csp,
-            state: start,
-            proposals: vec![0; n],
-            accept: vec![false; n],
-        }
-    }
-}
+impl SyncRule<Csp> for CspMetropolisRule {
+    type Local = Spin;
+    type Scratch = ();
 
-impl Chain for CspLocalMetropolis {
-    fn state(&self) -> &[Spin] {
-        &self.state
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        assert_eq!(state.len(), self.state.len());
-        self.state.copy_from_slice(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        let q = self.csp.q();
-        for slot in self.proposals.iter_mut() {
-            *slot = (rng.uniform_f64() * q as f64) as Spin;
-        }
-        self.accept.fill(true);
-        for c in self.csp.constraints() {
-            let p = constraint_pass_probability(c, q, &self.state, &self.proposals);
-            let coin = rng.uniform_f64();
-            if coin >= p {
-                for &v in c.scope() {
-                    self.accept[v as usize] = false;
-                }
-            }
-        }
-        for v in 0..self.state.len() {
-            if self.accept[v] {
-                self.state[v] = self.proposals[v];
-            }
-        }
-    }
+    const STATE_FREE_PROPOSE: bool = true;
 
     fn name(&self) -> &'static str {
-        "CspLocalMetropolis"
+        "LocalMetropolis"
+    }
+
+    fn make_scratch(&self, _csp: &Csp) -> Self::Scratch {}
+
+    fn propose<Sv: StateView + ?Sized>(
+        &self,
+        ctx: &RoundCtx<Csp>,
+        _v: VertexId,
+        _state: &Sv,
+        rng: &mut Xoshiro256pp,
+        _scratch: &mut Self::Scratch,
+    ) -> Spin {
+        (rng.uniform_f64() * ctx.model().q() as f64) as Spin
+    }
+
+    fn resolve<Sv: StateView + ?Sized>(
+        &self,
+        ctx: &RoundCtx<Csp>,
+        v: VertexId,
+        state: &Sv,
+        locals: &[Spin],
+        _rng: &mut Xoshiro256pp,
+        _scratch: &mut Self::Scratch,
+    ) -> Spin {
+        let csp = ctx.model();
+        for &ci in csp.incident(v) {
+            let p = constraint_pass_probability(
+                &csp.constraints()[ci as usize],
+                csp.q(),
+                |u| state.spin(u as usize),
+                |u| locals[u as usize],
+            );
+            if p <= 0.0 || (p < 1.0 && ctx.constraint_coin(ci) >= p) {
+                return state.spin(v.index());
+            }
+        }
+        locals[v.index()]
     }
 }
 
-/// The exact transition kernel of the CSP LocalMetropolis chain (what
-/// `Sampler::for_csp(..).algorithm(Algorithm::LocalMetropolis)` runs) on a small CSP,
-/// by enumerating proposal vectors and constraint-coin patterns.
+/// The exact transition kernel of [`CspMetropolisRule`] (what
+/// `Sampler::for_csp(..).algorithm(Algorithm::LocalMetropolis)` runs)
+/// on a small CSP, by enumerating proposal vectors and constraint-coin
+/// patterns.
 ///
 /// # Panics
 /// Panics if `q^n > 729` or the CSP has more than 12 constraints.
@@ -165,7 +173,9 @@ pub fn csp_local_metropolis_kernel(csp: &Csp) -> Kernel {
             let pass: Vec<f64> = csp
                 .constraints()
                 .iter()
-                .map(|c| constraint_pass_probability(c, q, &x_cfg, &s_cfg))
+                .map(|c| {
+                    constraint_pass_probability(c, q, |u| x_cfg[u as usize], |u| s_cfg[u as usize])
+                })
                 .collect();
             let mut stack: Vec<(usize, f64, u32)> = vec![(0, proposal_prob, 0)];
             while let Some((ci, p, fail_mask)) = stack.pop() {
@@ -343,10 +353,13 @@ mod tests {
         let q = 4;
         let c = Constraint::from_predicate(q, vec![0, 1], |l| l[0] != l[1]).unwrap();
         // current (0, 1), proposals (2, 3): all mixtures proper → pass.
-        assert_eq!(constraint_pass_probability(&c, q, &[0, 1], &[2, 3]), 1.0);
+        let pass = |x: [Spin; 2], s: [Spin; 2]| {
+            constraint_pass_probability(&c, q, |u| x[u as usize], |u| s[u as usize])
+        };
+        assert_eq!(pass([0, 1], [2, 3]), 1.0);
         // proposals (1, 3): mixture (σ_u, X_v) = (1, 1) improper → fail.
-        assert_eq!(constraint_pass_probability(&c, q, &[0, 1], &[1, 3]), 0.0);
+        assert_eq!(pass([0, 1], [1, 3]), 0.0);
         // proposals (2, 2): σσ mixture improper → fail.
-        assert_eq!(constraint_pass_probability(&c, q, &[0, 1], &[2, 2]), 0.0);
+        assert_eq!(pass([0, 1], [2, 2]), 0.0);
     }
 }

@@ -40,7 +40,7 @@
 //! the regression oracle.
 
 use super::slab::Packing;
-use super::{RoundCtx, EDGE_LABEL};
+use super::{Model, RoundCtx, EDGE_LABEL};
 use crate::schedule::VertexScheduler;
 use crate::update::Resampler;
 use lsl_graph::{EdgeId, VertexId};
@@ -109,19 +109,19 @@ impl HotPath {
     /// [`HotPath::Scalar`], for rules without a kernel, and for an
     /// (unvalidated) packing that cannot hold the model's spins — the
     /// engine then runs the scalar phases.
-    pub fn build_kernel<R: super::SyncRule>(
+    pub fn build_kernel<M: Model, R: super::SyncRule<M>>(
         &self,
-        mrf: &Arc<Mrf>,
+        model: &Arc<M>,
         rule: &R,
-    ) -> Option<Box<dyn HotKernel<R::Local>>> {
+    ) -> Option<Box<dyn HotKernel<R::Local, M>>> {
         match *self {
             HotPath::Scalar => None,
             HotPath::Lanes { packing, block_rng } => {
-                let packing = packing.unwrap_or_else(|| Packing::auto_for(mrf.q()));
-                if !packing.supports(mrf.q()) {
+                let packing = packing.unwrap_or_else(|| Packing::auto_for(model.q()));
+                if !packing.supports(model.q()) {
                     return None;
                 }
-                rule.hot_kernel(mrf, packing, block_rng)
+                rule.hot_kernel(model, packing, block_rng)
             }
         }
     }
@@ -189,9 +189,9 @@ impl std::str::FromStr for HotPath {
 /// propose phase's locals into `locals` (so observers like
 /// [`SyncChain::locals`](super::SyncChain::locals) see exactly what the
 /// scalar phases would publish).
-pub trait HotKernel<L>: Send {
+pub trait HotKernel<L, M: Model = Mrf>: Send {
     /// Executes one synchronous round.
-    fn round(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin], locals: &mut [L]);
+    fn round(&mut self, ctx: &RoundCtx<M>, state: &[Spin], next: &mut [Spin], locals: &mut [L]);
 }
 
 /// A generator that serves a precomputed stream head: its first draw is
@@ -711,7 +711,7 @@ impl<S: VertexScheduler, L: LaneBuf> LgKernel<S, L> {
             sx: L::with_len(n),
             seeds: vec![0; if block_rng { n } else { 0 }],
             weights: vec![0.0; mrf.q()],
-            resampler: Resampler::new(&mrf),
+            resampler: Resampler::new(&*mrf),
             marks_wide: vec![S::Mark::default(); n],
             marks_key: None,
             mrf,
@@ -761,7 +761,7 @@ impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
                 mrf.marginal_weights_with(vid, |u| sx.get(u.index()), weights);
                 *slot = resampler
                     .resample(weights, rng.raw())
-                    .expect("heat-bath marginal must be well-defined (paper assumption)");
+                    .unwrap_or_else(|| sx.get(v));
             } else {
                 *slot = sx.get(v);
             }

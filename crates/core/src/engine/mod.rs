@@ -43,8 +43,9 @@ pub mod slab;
 pub use hotpath::{HotKernel, HotPath};
 pub use slab::{Packing, StateSlab, StateView};
 
-use lsl_graph::{EdgeId, VertexId};
+use lsl_graph::{EdgeId, Graph, VertexId};
 use lsl_local::rng::{derive_seed, round_key, VertexRng, Xoshiro256pp};
+use lsl_mrf::csp::Csp;
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
 
@@ -52,14 +53,123 @@ use std::sync::Arc;
 const PROPOSE_LABEL: u64 = 0x5052_4f50_4f53_4500; // "PROPOSE\0"
 const RESOLVE_LABEL: u64 = 0x5245_534f_4c56_4500; // "RESOLVE\0"
 const EDGE_LABEL: u64 = 0x4544_4745_434f_494e; // "EDGECOIN"
+const CONSTRAINT_LABEL: u64 = 0x4353_5043_4f49_4e00; // "CSPCOIN\0"
 const SHARED_LABEL: u64 = 0x5348_4152_4544_5244; // "SHAREDRD"
+
+/// What the engine needs of a model: an MRF ([`Mrf`]) or a weighted
+/// local CSP ([`Csp`]). Every executor, scheduler and heat-bath rule
+/// is generic over it; rules that read model-specific structure (edge
+/// filters, constraint filters) implement [`SyncRule`] for one model.
+pub trait Model: Send + Sync + 'static {
+    /// The interaction graph — neighbourhoods, independent sets and
+    /// shard halos live on it: the MRF's graph, or the primal graph of
+    /// a CSP's scopes (so an independent set is strongly independent).
+    fn interaction_graph(&self) -> &Graph;
+
+    /// Domain size `q`.
+    fn q(&self) -> usize;
+
+    /// The unnormalized conditional marginal at `v`, reading the spins
+    /// of `v`'s interaction neighbours through `spin_of`.
+    fn marginal_weights_with(
+        &self,
+        v: VertexId,
+        spin_of: impl Fn(VertexId) -> Spin,
+        out: &mut [f64],
+    );
+
+    /// Whether every positive marginal weight is equal whatever the
+    /// boundary (hard constraints) — selects the coupling-friendly
+    /// permutation scheme of [`Resampler`](crate::update::Resampler).
+    fn has_uniform_marginals(&self) -> bool;
+
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize {
+        self.interaction_graph().num_vertices()
+    }
+
+    /// The LubyGlauber lane kernel on this model, if it has one. Hot
+    /// kernels are MRF-only; CSP rounds always run the scalar phases.
+    fn luby_glauber_kernel<S: crate::schedule::VertexScheduler>(
+        self: &Arc<Self>,
+        scheduler: &S,
+        packing: Packing,
+        block_rng: bool,
+    ) -> Option<Box<dyn HotKernel<S::Mark, Self>>>
+    where
+        Self: Sized,
+    {
+        let _ = (scheduler, packing, block_rng);
+        None
+    }
+}
+
+impl Model for Mrf {
+    fn interaction_graph(&self) -> &Graph {
+        self.graph()
+    }
+
+    fn q(&self) -> usize {
+        Mrf::q(self)
+    }
+
+    fn marginal_weights_with(
+        &self,
+        v: VertexId,
+        spin_of: impl Fn(VertexId) -> Spin,
+        out: &mut [f64],
+    ) {
+        Mrf::marginal_weights_with(self, v, spin_of, out);
+    }
+
+    fn has_uniform_marginals(&self) -> bool {
+        crate::update::has_uniform_marginals(self)
+    }
+
+    fn luby_glauber_kernel<S: crate::schedule::VertexScheduler>(
+        self: &Arc<Self>,
+        scheduler: &S,
+        packing: Packing,
+        block_rng: bool,
+    ) -> Option<Box<dyn HotKernel<S::Mark>>> {
+        Some(hotpath::luby_glauber_kernel(
+            self,
+            scheduler.clone(),
+            packing,
+            block_rng,
+        ))
+    }
+}
+
+impl Model for Csp {
+    fn interaction_graph(&self) -> &Graph {
+        self.primal_graph()
+    }
+
+    fn q(&self) -> usize {
+        Csp::q(self)
+    }
+
+    fn marginal_weights_with(
+        &self,
+        v: VertexId,
+        spin_of: impl Fn(VertexId) -> Spin,
+        out: &mut [f64],
+    ) {
+        Csp::marginal_weights_with(self, v, spin_of, out);
+    }
+
+    fn has_uniform_marginals(&self) -> bool {
+        self.constraints().iter().all(|c| c.is_hard())
+    }
+}
 
 /// The randomness context of one synchronous round.
 ///
 /// Derived once per round from `(master, round)`; hands out the
 /// counter-style streams of the determinism contract.
-pub struct RoundCtx<'a> {
-    mrf: &'a Mrf,
+pub struct RoundCtx<'a, M: Model = Mrf> {
+    model: &'a M,
     round: u64,
     propose_master: u64,
     resolve_master: u64,
@@ -67,12 +177,12 @@ pub struct RoundCtx<'a> {
     shared_seed: u64,
 }
 
-impl<'a> RoundCtx<'a> {
+impl<'a, M: Model> RoundCtx<'a, M> {
     /// The context of round `round` of the chain seeded by `master`.
-    pub fn new(mrf: &'a Mrf, master: u64, round: u64) -> Self {
+    pub fn new(model: &'a M, master: u64, round: u64) -> Self {
         let key = round_key(master, round);
         RoundCtx {
-            mrf,
+            model,
             round,
             propose_master: derive_seed(key, PROPOSE_LABEL, 0),
             resolve_master: derive_seed(key, RESOLVE_LABEL, 0),
@@ -83,8 +193,8 @@ impl<'a> RoundCtx<'a> {
 
     /// The model being sampled.
     #[inline]
-    pub fn mrf(&self) -> &'a Mrf {
-        self.mrf
+    pub fn model(&self) -> &'a M {
+        self.model
     }
 
     /// The round index (drives deterministic schedules, e.g. chromatic
@@ -111,7 +221,21 @@ impl<'a> RoundCtx<'a> {
     /// both endpoints (each evaluates it independently).
     #[inline]
     pub fn edge_coin(&self, e: EdgeId) -> f64 {
-        Xoshiro256pp::seed_from(derive_seed(self.edge_master, EDGE_LABEL, e.0 as u64)).uniform_f64()
+        self.coin(EDGE_LABEL, e.0)
+    }
+
+    /// The shared coin of constraint `c` (a CSP constraint index): the
+    /// hyperedge counterpart of [`RoundCtx::edge_coin`], identical for
+    /// every scope member.
+    #[inline]
+    pub fn constraint_coin(&self, c: u32) -> f64 {
+        self.coin(CONSTRAINT_LABEL, c)
+    }
+
+    #[inline]
+    fn coin(&self, label: u64, index: u32) -> f64 {
+        Xoshiro256pp::seed_from(derive_seed(self.edge_master, label, u64::from(index)))
+            .uniform_f64()
     }
 
     /// The round-shared stream: every vertex that evaluates it sees the
@@ -127,7 +251,7 @@ impl<'a> RoundCtx<'a> {
     /// place so their trajectories correspond under one master seed.
     #[inline]
     pub fn shared_vertex(&self) -> VertexId {
-        let n = self.mrf.num_vertices();
+        let n = self.model.num_vertices();
         let i = (self.shared_rng().uniform_f64() * n as f64) as usize;
         VertexId(i.min(n.saturating_sub(1)) as u32)
     }
@@ -140,7 +264,11 @@ impl<'a> RoundCtx<'a> {
 /// in parallel) without changing the trajectory. Rules are `Send + Sync`
 /// so chains that own them are `Send` handles servable from worker
 /// threads (see `lsl_core::service`).
-pub trait SyncRule: Send + Sync {
+///
+/// A rule is a rule *on a model type* `M` (default [`Mrf`]): the
+/// heat-bath rule runs on every [`Model`], the filter rules on the
+/// one model whose factors they read.
+pub trait SyncRule<M: Model = Mrf>: Send + Sync {
     /// The per-vertex value published by the propose phase (a proposal
     /// spin, a Luby `β_v`, ...).
     type Local: Copy + Send + Sync + Default;
@@ -160,12 +288,12 @@ pub trait SyncRule: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Builds one worker's scratch.
-    fn make_scratch(&self, mrf: &Mrf) -> Self::Scratch;
+    fn make_scratch(&self, model: &M) -> Self::Scratch;
 
     /// For single-site chains: the unique vertex that can change this
     /// round (a pure function of the round's shared stream). Engines
     /// then touch only that vertex. `None` for synchronous chains.
-    fn active_vertex(&self, ctx: &RoundCtx) -> Option<VertexId> {
+    fn active_vertex(&self, ctx: &RoundCtx<M>) -> Option<VertexId> {
         let _ = ctx;
         None
     }
@@ -178,7 +306,7 @@ pub trait SyncRule: Send + Sync {
     /// trajectories.
     fn propose<Sv: StateView + ?Sized>(
         &self,
-        ctx: &RoundCtx,
+        ctx: &RoundCtx<M>,
         v: VertexId,
         state: &Sv,
         rng: &mut Xoshiro256pp,
@@ -190,7 +318,7 @@ pub trait SyncRule: Send + Sync {
     /// resolve stream into `v`'s next spin.
     fn resolve<Sv: StateView + ?Sized>(
         &self,
-        ctx: &RoundCtx,
+        ctx: &RoundCtx<M>,
         v: VertexId,
         state: &Sv,
         locals: &[Self::Local],
@@ -198,19 +326,19 @@ pub trait SyncRule: Send + Sync {
         scratch: &mut Self::Scratch,
     ) -> Spin;
 
-    /// Builds this rule's lane-batched hot kernel for `mrf`, if it has
-    /// one (see [`hotpath`]). `None` — the default — means the engine
-    /// always runs the scalar per-vertex phases; rules that return a
-    /// kernel must make it bit-identical to those phases, which stay
-    /// compiled and selectable ([`HotPath::Scalar`]) as the regression
-    /// oracle.
+    /// Builds this rule's lane-batched hot kernel for `model`, if it
+    /// has one (see [`hotpath`]). `None` — the default, and the answer
+    /// on every CSP — means the engine always runs the scalar
+    /// per-vertex phases; rules that return a kernel must make it
+    /// bit-identical to those phases, which stay compiled and
+    /// selectable ([`HotPath::Scalar`]) as the regression oracle.
     fn hot_kernel(
         &self,
-        mrf: &Arc<Mrf>,
+        model: &Arc<M>,
         packing: Packing,
         block_rng: bool,
-    ) -> Option<Box<dyn HotKernel<Self::Local>>> {
-        let _ = (mrf, packing, block_rng);
+    ) -> Option<Box<dyn HotKernel<Self::Local, M>>> {
+        let _ = (model, packing, block_rng);
         None
     }
 }
@@ -376,9 +504,9 @@ fn fill_indexed<T: Send, S: Send>(
 }
 
 /// Runs the propose phase of `ctx` into `locals`.
-fn propose_phase<R: SyncRule>(
+fn propose_phase<M: Model, R: SyncRule<M>>(
     rule: &R,
-    ctx: &RoundCtx,
+    ctx: &RoundCtx<M>,
     state: &[Spin],
     locals: &mut [R::Local],
     scratches: &mut [R::Scratch],
@@ -392,9 +520,9 @@ fn propose_phase<R: SyncRule>(
 }
 
 /// Runs the resolve phase of `ctx` into `next`.
-fn resolve_phase<R: SyncRule>(
+fn resolve_phase<M: Model, R: SyncRule<M>>(
     rule: &R,
-    ctx: &RoundCtx,
+    ctx: &RoundCtx<M>,
     state: &[Spin],
     locals: &[R::Local],
     next: &mut [Spin],
@@ -412,9 +540,9 @@ fn resolve_phase<R: SyncRule>(
 /// fast path (only the active vertex is touched). `state` and `next` are
 /// swapped on synchronous rounds.
 #[allow(clippy::too_many_arguments)]
-fn run_round<R: SyncRule>(
+fn run_round<M: Model, R: SyncRule<M>>(
     rule: &R,
-    ctx: &RoundCtx,
+    ctx: &RoundCtx<M>,
     state: &mut Vec<Spin>,
     next: &mut Vec<Spin>,
     locals: &mut [R::Local],
@@ -436,11 +564,13 @@ fn run_round<R: SyncRule>(
 
 /// One chain advanced by the step engine.
 ///
-/// The chain *owns* its model as an `Arc<Mrf>`, so it is a `'static`,
+/// The chain *owns* its model as an `Arc<M>`, so it is a `'static`,
 /// `Send` handle: build it, hand it to a worker thread, serve it for as
-/// long as the process lives. Constructors take `impl Into<Arc<Mrf>>` —
-/// pass an `Arc<Mrf>` (cheap, shared), an owned `Mrf`, or `&Mrf` (which
-/// clones into a fresh handle; fine for tests, avoid in loops).
+/// long as the process lives. The MRF constructors take
+/// `impl Into<Arc<Mrf>>` — pass an `Arc<Mrf>` (cheap, shared), an owned
+/// `Mrf`, or `&Mrf` (which clones into a fresh handle; fine for tests,
+/// avoid in loops); [`SyncChain::with_model`] takes any
+/// [`Model`].
 ///
 /// # Example
 /// ```
@@ -456,8 +586,8 @@ fn run_round<R: SyncRule>(
 /// chain.run(40);
 /// assert!(mrf.is_feasible(chain.state()));
 /// ```
-pub struct SyncChain<R: SyncRule> {
-    mrf: Arc<Mrf>,
+pub struct SyncChain<R: SyncRule<M>, M: Model = Mrf> {
+    model: Arc<M>,
     rule: R,
     backend: Backend,
     state: Vec<Spin>,
@@ -472,13 +602,13 @@ pub struct SyncChain<R: SyncRule> {
     /// The rule's lane-batched kernel under `hotpath`, if any. Engaged
     /// on single-worker synchronous rounds; the scalar phases remain
     /// the multi-worker path and the oracle.
-    kernel: Option<Box<dyn HotKernel<R::Local>>>,
+    kernel: Option<Box<dyn HotKernel<R::Local, M>>>,
     master: u64,
     round: u64,
     last_key: Option<(u64, u64)>,
 }
 
-impl<R: SyncRule> std::fmt::Debug for SyncChain<R> {
+impl<M: Model, R: SyncRule<M>> std::fmt::Debug for SyncChain<R, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncChain")
             .field("rule", &self.rule.name())
@@ -503,14 +633,24 @@ impl<R: SyncRule> SyncChain<R> {
     /// # Panics
     /// Panics if the configuration has the wrong length.
     pub fn with_state(mrf: impl Into<Arc<Mrf>>, rule: R, master: u64, state: Vec<Spin>) -> Self {
-        let mrf = mrf.into();
-        assert_eq!(state.len(), mrf.num_vertices(), "state length must be n");
+        Self::with_model(mrf.into(), rule, master, state)
+    }
+}
+
+impl<M: Model, R: SyncRule<M>> SyncChain<R, M> {
+    /// Builds the chain on any [`Model`] from an explicit start
+    /// (what the facade builds for every model).
+    ///
+    /// # Panics
+    /// Panics if the configuration has the wrong length.
+    pub fn with_model(model: Arc<M>, rule: R, master: u64, state: Vec<Spin>) -> Self {
+        assert_eq!(state.len(), model.num_vertices(), "state length must be n");
         let n = state.len();
-        let scratches = vec![rule.make_scratch(&mrf)];
+        let scratches = vec![rule.make_scratch(&model)];
         let hotpath = HotPath::default();
-        let kernel = hotpath.build_kernel(&mrf, &rule);
+        let kernel = hotpath.build_kernel(&model, &rule);
         SyncChain {
-            mrf,
+            model,
             rule,
             backend: Backend::Sequential,
             state,
@@ -531,7 +671,7 @@ impl<R: SyncRule> SyncChain<R> {
         self.backend = backend;
         let want = backend.worker_count();
         while self.scratches.len() < want {
-            self.scratches.push(self.rule.make_scratch(&self.mrf));
+            self.scratches.push(self.rule.make_scratch(&self.model));
         }
         self.workers = want;
     }
@@ -545,10 +685,10 @@ impl<R: SyncRule> SyncChain<R> {
     /// model's spins (e.g. [`Packing::Bit`] with `q > 2`).
     pub fn set_hotpath(&mut self, hotpath: HotPath) {
         hotpath
-            .validate_for(self.mrf.q())
+            .validate_for(self.model.q())
             .expect("invalid hot path");
         self.hotpath = hotpath;
-        self.kernel = hotpath.build_kernel(&self.mrf, &self.rule);
+        self.kernel = hotpath.build_kernel(&self.model, &self.rule);
     }
 
     /// The hot-path selection in use.
@@ -568,13 +708,8 @@ impl<R: SyncRule> SyncChain<R> {
     }
 
     /// The model being sampled.
-    pub fn mrf(&self) -> &Mrf {
-        &self.mrf
-    }
-
-    /// The owning handle of the model (cheap to clone and share).
-    pub fn mrf_handle(&self) -> &Arc<Mrf> {
-        &self.mrf
+    pub fn model(&self) -> &M {
+        &self.model
     }
 
     /// The vertex-step rule.
@@ -624,7 +759,7 @@ impl<R: SyncRule> SyncChain<R> {
     ///
     /// [`Sampler::step_keyed`]: crate::sampler::Sampler::step_keyed
     pub fn step_keyed(&mut self, master: u64) {
-        let ctx = RoundCtx::new(&self.mrf, master, self.round);
+        let ctx = RoundCtx::new(&*self.model, master, self.round);
         let workers = self.workers.min(self.scratches.len());
         // Lane-batched fast path: single-worker synchronous rounds of a
         // rule with a kernel. Multi-worker sweeps keep the scalar

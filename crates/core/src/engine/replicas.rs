@@ -19,7 +19,7 @@
 //! Replicas are embarrassingly parallel, so the set also accepts a
 //! [`Backend`] that shards replicas over scoped threads.
 
-use super::{HotKernel, HotPath, RoundCtx, SyncRule};
+use super::{HotKernel, HotPath, Model, RoundCtx, SyncRule};
 use crate::engine::Backend;
 use lsl_local::rng::derive_seed;
 use lsl_mrf::{Mrf, Spin};
@@ -28,10 +28,20 @@ use std::sync::Arc;
 /// Label under which per-replica master seeds are derived.
 const REPLICA_LABEL: u64 = 0x5245_504c_4943_4100; // "REPLICA\0"
 
+/// One worker's lane kernel, if the rule has one under the hot path.
+type KernelSlot<L, M> = Option<Box<dyn HotKernel<L, M>>>;
+
+/// The master seed of replica `b` in an iid batch seeded by `seed`: a
+/// single chain built with it reproduces that replica exactly.
+pub fn replica_seed(seed: u64, b: u64) -> u64 {
+    derive_seed(seed, REPLICA_LABEL, b)
+}
+
 /// A batch of `B` chains of one rule advanced together.
 ///
-/// The set *owns* its model as an `Arc<Mrf>` (constructors take
-/// `impl Into<Arc<Mrf>>`), so it is a `'static`, `Send` handle.
+/// The set *owns* its model as an `Arc<M>` (the MRF constructors take
+/// `impl Into<Arc<Mrf>>`, [`ReplicaSet::with_model`] any
+/// [`Model`]), so it is a `'static`, `Send` handle.
 ///
 /// # Example
 /// ```
@@ -48,8 +58,8 @@ const REPLICA_LABEL: u64 = 0x5245_504c_4943_4100; // "REPLICA\0"
 ///     assert!(mrf.is_feasible(state));
 /// }
 /// ```
-pub struct ReplicaSet<R: SyncRule> {
-    mrf: Arc<Mrf>,
+pub struct ReplicaSet<R: SyncRule<M>, M: Model = Mrf> {
+    model: Arc<M>,
     rule: R,
     backend: Backend,
     n: usize,
@@ -71,14 +81,14 @@ pub struct ReplicaSet<R: SyncRule> {
     /// coupled batch's shared randomness without a separate shared
     /// propose pass.
     hotpath: HotPath,
-    kernels: Vec<Option<Box<dyn HotKernel<R::Local>>>>,
+    kernels: Vec<KernelSlot<R::Local, M>>,
     /// Resolved worker count (cached at `set_backend`; probing
     /// available parallelism per round is not free).
     workers: usize,
     round: u64,
 }
 
-impl<R: SyncRule> std::fmt::Debug for ReplicaSet<R> {
+impl<M: Model, R: SyncRule<M>> std::fmt::Debug for ReplicaSet<R, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaSet")
             .field("rule", &self.rule.name())
@@ -91,34 +101,6 @@ impl<R: SyncRule> std::fmt::Debug for ReplicaSet<R> {
 }
 
 impl<R: SyncRule> ReplicaSet<R> {
-    fn build(mrf: Arc<Mrf>, rule: R, states: Vec<Spin>, masters: Vec<u64>, coupled: bool) -> Self {
-        let n = mrf.num_vertices();
-        assert!(n > 0, "replica sets need a non-empty model");
-        let count = masters.len();
-        assert_eq!(states.len(), n * count);
-        let scratches = vec![rule.make_scratch(&mrf)];
-        let hotpath = HotPath::default();
-        let kernels = vec![hotpath.build_kernel(&mrf, &rule)];
-        ReplicaSet {
-            rule,
-            backend: Backend::Sequential,
-            n,
-            count,
-            next: vec![0; states.len()],
-            states,
-            masters,
-            coupled,
-            shared_locals: vec![R::Local::default(); n],
-            worker_locals: vec![vec![R::Local::default(); n]],
-            scratches,
-            hotpath,
-            kernels,
-            workers: 1,
-            round: 0,
-            mrf,
-        }
-    }
-
     /// `count` iid replicas from the deterministic default start, each
     /// under its own master seed derived from `seed`.
     pub fn independent(mrf: impl Into<Arc<Mrf>>, rule: R, count: usize, seed: u64) -> Self {
@@ -139,18 +121,7 @@ impl<R: SyncRule> ReplicaSet<R> {
         starts: &[&[Spin]],
         seed: u64,
     ) -> Self {
-        assert!(!starts.is_empty(), "need at least one replica");
-        let mrf = mrf.into();
-        let n = mrf.num_vertices();
-        let mut states = Vec::with_capacity(n * starts.len());
-        for s in starts {
-            assert_eq!(s.len(), n, "start length must be n");
-            states.extend_from_slice(s);
-        }
-        let masters = (0..starts.len() as u64)
-            .map(|b| derive_seed(seed, REPLICA_LABEL, b))
-            .collect();
-        Self::build(mrf, rule, states, masters, false)
+        Self::with_model(mrf.into(), rule, starts, seed, false)
     }
 
     /// A grand coupling: one copy per start, all sharing the single
@@ -159,16 +130,58 @@ impl<R: SyncRule> ReplicaSet<R> {
     /// # Panics
     /// Panics if `starts` is empty or any start has the wrong length.
     pub fn coupled(mrf: impl Into<Arc<Mrf>>, rule: R, starts: &[Vec<Spin>], master: u64) -> Self {
-        assert!(!starts.is_empty(), "need at least one copy");
-        let mrf = mrf.into();
-        let n = mrf.num_vertices();
+        let refs: Vec<&[Spin]> = starts.iter().map(|s| &s[..]).collect();
+        Self::with_model(mrf.into(), rule, &refs, master, true)
+    }
+}
+
+impl<M: Model, R: SyncRule<M>> ReplicaSet<R, M> {
+    /// One replica per start on any [`Model`] (what the facade
+    /// builds for every model): iid replicas under per-replica seeds
+    /// derived from `seed`, or — `coupled` — a grand coupling with
+    /// every replica under `seed` itself.
+    ///
+    /// # Panics
+    /// Panics if `starts` is empty or any start has the wrong length.
+    pub fn with_model(
+        model: Arc<M>,
+        rule: R,
+        starts: &[&[Spin]],
+        seed: u64,
+        coupled: bool,
+    ) -> Self {
+        assert!(!starts.is_empty(), "need at least one replica");
+        let n = model.num_vertices();
+        assert!(n > 0, "replica sets need a non-empty model");
         let mut states = Vec::with_capacity(n * starts.len());
         for s in starts {
             assert_eq!(s.len(), n, "start length must be n");
             states.extend_from_slice(s);
         }
-        let masters = vec![master; starts.len()];
-        Self::build(mrf, rule, states, masters, true)
+        let masters = (0..starts.len() as u64)
+            .map(|b| if coupled { seed } else { replica_seed(seed, b) })
+            .collect();
+        let scratches = vec![rule.make_scratch(&model)];
+        let hotpath = HotPath::default();
+        let kernels = vec![hotpath.build_kernel(&model, &rule)];
+        ReplicaSet {
+            rule,
+            backend: Backend::Sequential,
+            n,
+            count: starts.len(),
+            next: vec![0; states.len()],
+            states,
+            masters,
+            coupled,
+            shared_locals: vec![R::Local::default(); n],
+            worker_locals: vec![vec![R::Local::default(); n]],
+            scratches,
+            hotpath,
+            kernels,
+            workers: 1,
+            round: 0,
+            model,
+        }
     }
 
     /// Shards replicas over `backend`'s workers (trajectories are
@@ -177,10 +190,10 @@ impl<R: SyncRule> ReplicaSet<R> {
         self.backend = backend;
         let want = backend.worker_count();
         while self.scratches.len() < want {
-            self.scratches.push(self.rule.make_scratch(&self.mrf));
+            self.scratches.push(self.rule.make_scratch(&self.model));
             self.worker_locals.push(vec![R::Local::default(); self.n]);
             self.kernels
-                .push(self.hotpath.build_kernel(&self.mrf, &self.rule));
+                .push(self.hotpath.build_kernel(&self.model, &self.rule));
         }
         self.workers = want;
     }
@@ -193,11 +206,11 @@ impl<R: SyncRule> ReplicaSet<R> {
     /// spins.
     pub fn set_hotpath(&mut self, hotpath: HotPath) {
         hotpath
-            .validate_for(self.mrf.q())
+            .validate_for(self.model.q())
             .expect("invalid hot path for this model");
         self.hotpath = hotpath;
         for slot in self.kernels.iter_mut() {
-            *slot = hotpath.build_kernel(&self.mrf, &self.rule);
+            *slot = hotpath.build_kernel(&self.model, &self.rule);
         }
     }
 
@@ -237,7 +250,7 @@ impl<R: SyncRule> ReplicaSet<R> {
         let round = self.round;
         // Single-site rules update one vertex in place; synchronous rules
         // double-buffer. The branch is rule-constant (checked below).
-        let probe = RoundCtx::new(&self.mrf, self.masters[0], round);
+        let probe = RoundCtx::new(&*self.model, self.masters[0], round);
         let single_site = self.rule.active_vertex(&probe).is_some();
 
         // Coupled + state-free proposals: one propose phase serves every
@@ -253,7 +266,7 @@ impl<R: SyncRule> ReplicaSet<R> {
             && R::STATE_FREE_PROPOSE
             && !kernels_engaged;
         if share_propose {
-            let ctx = RoundCtx::new(&self.mrf, self.masters[0], round);
+            let ctx = RoundCtx::new(&*self.model, self.masters[0], round);
             super::propose_phase(
                 &self.rule,
                 &ctx,
@@ -281,7 +294,7 @@ impl<R: SyncRule> ReplicaSet<R> {
         };
         let per_worker = self.count.div_ceil(workers);
         let n = self.n;
-        let mrf: &Mrf = &self.mrf;
+        let model: &M = &self.model;
         let rule = &self.rule;
         let masters = &self.masters;
         let shared_locals = &self.shared_locals;
@@ -292,7 +305,7 @@ impl<R: SyncRule> ReplicaSet<R> {
             // at replica index `base`.
             let work = |base: usize, chunk: &mut [Spin], scratch: &mut R::Scratch| {
                 for (bi, state) in chunk.chunks_mut(n).enumerate() {
-                    let ctx = RoundCtx::new(mrf, masters[base + bi], round);
+                    let ctx = RoundCtx::new(model, masters[base + bi], round);
                     let v = rule
                         .active_vertex(&ctx)
                         .expect("active_vertex must be rule-constant");
@@ -323,9 +336,9 @@ impl<R: SyncRule> ReplicaSet<R> {
                         next: &mut [Spin],
                         scratch: &mut R::Scratch,
                         locals: &mut Vec<R::Local>,
-                        kernel: &mut Option<Box<dyn HotKernel<R::Local>>>| {
+                        kernel: &mut KernelSlot<R::Local, M>| {
                 for (bi, (state, next)) in states.chunks(n).zip(next.chunks_mut(n)).enumerate() {
-                    let ctx = RoundCtx::new(mrf, masters[base + bi], round);
+                    let ctx = RoundCtx::new(model, masters[base + bi], round);
                     if let Some(k) = kernel.as_mut() {
                         k.round(&ctx, state, next, locals);
                         continue;

@@ -14,7 +14,7 @@
 //!   round-shared stream (so even they are pure functions of
 //!   `(master, round)` and batch across replicas).
 
-use super::{hotpath, HotKernel, Packing, RoundCtx, StateView, SyncRule};
+use super::{hotpath, HotKernel, Model, Packing, RoundCtx, StateView, SyncRule};
 use crate::schedule::{LubyScheduler, VertexScheduler};
 use crate::update::Resampler;
 use lsl_graph::VertexId;
@@ -23,35 +23,36 @@ use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
 
 /// Reusable per-worker scratch for heat-bath rules: a marginal-weight
-/// buffer and a coupling-friendly resampler. (Distinct from
-/// `lsl_mrf::csp::MarginalScratch`, which carries a CSP trial
-/// configuration instead of a resampler.)
+/// buffer and a coupling-friendly resampler.
 pub struct HeatBathScratch {
     weights: Vec<f64>,
     resampler: Resampler,
 }
 
 impl HeatBathScratch {
-    /// Builds scratch sized for `mrf`.
-    pub fn new(mrf: &Mrf) -> Self {
+    /// Builds scratch sized for `model`.
+    pub fn new<M: Model>(model: &M) -> Self {
         HeatBathScratch {
-            weights: vec![0.0; mrf.q()],
-            resampler: Resampler::new(mrf),
+            weights: vec![0.0; model.q()],
+            resampler: Resampler::new(model),
         }
     }
 
-    /// Heat-bath resample of `v` given `state`, drawing from `rng`.
-    fn resample<Sv: StateView + ?Sized>(
+    /// Heat-bath resample of `v` given `state`, drawing from `rng`. An
+    /// ill-defined marginal (all weights zero, which the paper rules out
+    /// and only an infeasible configuration can produce) keeps `v`'s
+    /// spin.
+    fn resample<M: Model, Sv: StateView + ?Sized>(
         &mut self,
-        mrf: &Mrf,
+        model: &M,
         v: VertexId,
         state: &Sv,
         rng: &mut Xoshiro256pp,
     ) -> Spin {
-        mrf.marginal_weights_with(v, |u| state.spin(u.index()), &mut self.weights);
+        model.marginal_weights_with(v, |u| state.spin(u.index()), &mut self.weights);
         self.resampler
             .resample(&self.weights, rng)
-            .expect("heat-bath marginal must be well-defined (paper assumption)")
+            .unwrap_or_else(|| state.spin(v.index()))
     }
 }
 
@@ -145,7 +146,7 @@ impl SyncRule for LocalMetropolisRule {
         rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
-        ctx.mrf().vertex_activity(v).sample(rng)
+        ctx.model().vertex_activity(v).sample(rng)
     }
 
     fn resolve<Sv: StateView + ?Sized>(
@@ -157,7 +158,7 @@ impl SyncRule for LocalMetropolisRule {
         _rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
-        let mrf = ctx.mrf();
+        let mrf = ctx.model();
         let g = mrf.graph();
         let old = state.spin(v.index());
         for (e, _) in g.incident_edges(v) {
@@ -194,7 +195,10 @@ impl SyncRule for LocalMetropolisRule {
 }
 
 /// Algorithm 1 (LubyGlauber) as a vertex-step rule, generic over the
-/// independent-set scheduler.
+/// independent-set scheduler and the model: on a weighted CSP the
+/// scheduler selects on the primal graph of the scopes, so `I` is
+/// strongly independent (the remark after Algorithm 1) and the
+/// marginals read every scope-mate.
 ///
 /// Each round: sample a random independent set `I` (by default the Luby
 /// step), then resample every `v ∈ I` in parallel from its conditional
@@ -253,7 +257,7 @@ impl<S: VertexScheduler> LubyGlauberRule<S> {
     }
 }
 
-impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
+impl<S: VertexScheduler, M: Model> SyncRule<M> for LubyGlauberRule<S> {
     type Local = S::Mark;
     type Scratch = HeatBathScratch;
 
@@ -263,11 +267,11 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
         "LubyGlauber"
     }
 
-    fn make_scratch(&self, mrf: &Mrf) -> Self::Scratch {
-        HeatBathScratch::new(mrf)
+    fn make_scratch(&self, model: &M) -> Self::Scratch {
+        HeatBathScratch::new(model)
     }
 
-    fn active_vertex(&self, ctx: &RoundCtx) -> Option<VertexId> {
+    fn active_vertex(&self, ctx: &RoundCtx<M>) -> Option<VertexId> {
         // Single-vertex schedulers (e.g. Singleton) take the engine's
         // single-site fast path; `resolve` re-checks `selected`, which
         // must agree, so the trajectory is identical to the full sweep.
@@ -276,7 +280,7 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
 
     fn propose<Sv: StateView + ?Sized>(
         &self,
-        _ctx: &RoundCtx,
+        _ctx: &RoundCtx<M>,
         v: VertexId,
         _state: &Sv,
         rng: &mut Xoshiro256pp,
@@ -287,7 +291,7 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
 
     fn resolve<Sv: StateView + ?Sized>(
         &self,
-        ctx: &RoundCtx,
+        ctx: &RoundCtx<M>,
         v: VertexId,
         state: &Sv,
         locals: &[S::Mark],
@@ -297,29 +301,24 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
         if !self.scheduler.selected(ctx, v, locals) {
             return state.spin(v.index());
         }
-        scratch.resample(ctx.mrf(), v, state, rng)
+        scratch.resample(ctx.model(), v, state, rng)
     }
 
     fn hot_kernel(
         &self,
-        mrf: &Arc<Mrf>,
+        model: &Arc<M>,
         packing: Packing,
         block_rng: bool,
-    ) -> Option<Box<dyn HotKernel<S::Mark>>> {
-        Some(hotpath::luby_glauber_kernel(
-            mrf,
-            self.scheduler.clone(),
-            packing,
-            block_rng,
-        ))
+    ) -> Option<Box<dyn HotKernel<S::Mark, M>>> {
+        model.luby_glauber_kernel(&self.scheduler, packing, block_rng)
     }
 }
 
 /// Computes the update mask of a round from its published marks (for
 /// instrumentation: which vertices the scheduler selected).
-pub fn scheduled_mask<S: VertexScheduler>(
+pub fn scheduled_mask<S: VertexScheduler, M: Model>(
     scheduler: &S,
-    ctx: &RoundCtx,
+    ctx: &RoundCtx<M>,
     marks: &[S::Mark],
     out: &mut [bool],
 ) {
@@ -387,7 +386,7 @@ impl SyncRule for GlauberRule {
         rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
     ) -> Spin {
-        scratch.resample(ctx.mrf(), v, state, rng)
+        scratch.resample(ctx.model(), v, state, rng)
     }
 }
 
@@ -434,7 +433,7 @@ impl SyncRule for MetropolisRule {
         rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
-        let mrf = ctx.mrf();
+        let mrf = ctx.model();
         let proposal = mrf.vertex_activity(v).sample(rng);
         let mut accept_prob = 1.0;
         for (e, u) in mrf.graph().incident_edges(v) {

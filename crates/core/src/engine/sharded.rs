@@ -41,7 +41,7 @@
 //! every partition — property-tested across partitioners, algorithms,
 //! and schedulers in `tests/sharded.rs`.
 
-use super::{Packing, RoundCtx, StateSlab, SyncRule};
+use super::{Model, Packing, RoundCtx, StateSlab, SyncRule};
 use lsl_graph::partition::Partition;
 use lsl_graph::{Graph, VertexId};
 use lsl_mrf::{Mrf, Spin};
@@ -115,7 +115,7 @@ pub(crate) fn exchange_plan(g: &Graph, partition: &Partition) -> ExchangePlan {
 /// workers ([`crate::cluster`]). Both advance the *same* code here,
 /// which is what makes distributed trajectories bit-identical to local
 /// ones by construction.
-pub(crate) struct ShardCore<R: SyncRule> {
+pub(crate) struct ShardCore<M: Model, R: SyncRule<M>> {
     /// Vertices this shard owns (ascending).
     pub(crate) owned: Vec<VertexId>,
     /// Owned ∪ halo: the vertices whose slab entries are maintained
@@ -140,11 +140,11 @@ pub(crate) struct ShardCore<R: SyncRule> {
     scratch: R::Scratch,
 }
 
-impl<R: SyncRule> ShardCore<R> {
+impl<M: Model, R: SyncRule<M>> ShardCore<M, R> {
     /// Builds shard `s`'s core from the shared plan and a full start
     /// configuration.
     pub(crate) fn build(
-        mrf: &Arc<Mrf>,
+        model: &M,
         rule: &R,
         partition: &Partition,
         plan: &ExchangePlan,
@@ -166,14 +166,14 @@ impl<R: SyncRule> ShardCore<R> {
             slab: StateSlab::from_spins(packing, state),
             next_owned,
             locals: vec![R::Local::default(); state.len()],
-            scratch: rule.make_scratch(mrf),
+            scratch: rule.make_scratch(model),
         }
     }
 
     /// Phase 1+2 of a synchronous round: propose over owned ∪ halo
     /// (halo proposals recomputed locally — see the module docs), then
     /// resolve the owned vertices into the private next buffer.
-    pub(crate) fn propose_and_resolve(&mut self, rule: &R, ctx: &RoundCtx) {
+    pub(crate) fn propose_and_resolve(&mut self, rule: &R, ctx: &RoundCtx<M>) {
         if R::HAS_PROPOSE {
             for &v in &self.active {
                 let mut rng = ctx.propose_rng(v);
@@ -215,7 +215,7 @@ impl<R: SyncRule> ShardCore<R> {
     /// Single-site rules skip the propose phase, so the
     /// (default-valued) locals slab stands in, exactly as in the flat
     /// backends.
-    pub(crate) fn resolve_single(&mut self, rule: &R, ctx: &RoundCtx, v: VertexId) -> Spin {
+    pub(crate) fn resolve_single(&mut self, rule: &R, ctx: &RoundCtx<M>, v: VertexId) -> Spin {
         let mut rng = ctx.resolve_rng(v);
         let spin = rule.resolve(
             ctx,
@@ -373,8 +373,10 @@ impl CommStats {
 /// these for `.backend(Backend::Sharded { .. })`.
 ///
 /// Like [`SyncChain`](super::SyncChain), the chain *owns* its model as
-/// an `Arc<Mrf>` (constructors take `impl Into<Arc<Mrf>>`), so it is a
-/// `'static`, `Send` handle servable from worker threads.
+/// an `Arc<M>` (the MRF constructors take `impl Into<Arc<Mrf>>`,
+/// [`ShardedChain::with_model`] any [`Model`]), so it is a
+/// `'static`, `Send` handle servable from worker threads. Halos follow
+/// the model's interaction graph: on a CSP, the scope-mates.
 ///
 /// # Example
 /// ```
@@ -392,11 +394,11 @@ impl CommStats {
 /// assert!(mrf.is_feasible(chain.state()));
 /// assert!(chain.comm().total_messages() > 0);
 /// ```
-pub struct ShardedChain<R: SyncRule> {
-    mrf: Arc<Mrf>,
+pub struct ShardedChain<R: SyncRule<M>, M: Model = Mrf> {
+    model: Arc<M>,
     rule: R,
     partition: Partition,
-    shards: Vec<ShardCore<R>>,
+    shards: Vec<ShardCore<M, R>>,
     plan: Vec<Exchange>,
     /// Canonical observer-facing configuration, refreshed from the
     /// owners' next buffers every round.
@@ -410,7 +412,7 @@ pub struct ShardedChain<R: SyncRule> {
     last_key: Option<(u64, u64)>,
 }
 
-impl<R: SyncRule> std::fmt::Debug for ShardedChain<R> {
+impl<M: Model, R: SyncRule<M>> std::fmt::Debug for ShardedChain<R, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedChain")
             .field("rule", &self.rule.name())
@@ -446,8 +448,24 @@ impl<R: SyncRule> ShardedChain<R> {
         state: Vec<Spin>,
         partition: Partition,
     ) -> Self {
-        let mrf = mrf.into();
-        let n = mrf.num_vertices();
+        Self::with_model(mrf.into(), rule, master, state, partition)
+    }
+}
+
+impl<M: Model, R: SyncRule<M>> ShardedChain<R, M> {
+    /// Builds the sharded chain on any [`Model`] from an explicit
+    /// start (what the facade builds for every model).
+    ///
+    /// # Panics
+    /// As [`ShardedChain::with_state`].
+    pub fn with_model(
+        model: Arc<M>,
+        rule: R,
+        master: u64,
+        state: Vec<Spin>,
+        partition: Partition,
+    ) -> Self {
+        let n = model.num_vertices();
         assert_eq!(state.len(), n, "state length must be n");
         assert_eq!(
             partition.len(),
@@ -460,15 +478,15 @@ impl<R: SyncRule> ShardedChain<R> {
             "the sharded backend recomputes halo proposals locally, which \
              requires state-free proposals (SyncRule::STATE_FREE_PROPOSE)"
         );
-        let g = mrf.graph();
+        let g = model.interaction_graph();
         let k = partition.num_shards();
-        let packing = Packing::auto_for(mrf.q());
+        let packing = Packing::auto_for(model.q());
 
         // The shared plan: per-shard halos, and the boundary channels
         // they induce (the cluster layer rebuilds the same plan).
         let ep = exchange_plan(g, &partition);
         let shards = (0..k)
-            .map(|s| ShardCore::build(&mrf, &rule, &partition, &ep, s, &state, packing))
+            .map(|s| ShardCore::build(&*model, &rule, &partition, &ep, s, &state, packing))
             .collect();
         let plan = ep
             .channels
@@ -484,7 +502,7 @@ impl<R: SyncRule> ShardedChain<R> {
             })
             .collect();
         ShardedChain {
-            mrf,
+            model,
             rule,
             partition,
             shards,
@@ -499,13 +517,8 @@ impl<R: SyncRule> ShardedChain<R> {
     }
 
     /// The model being sampled.
-    pub fn mrf(&self) -> &Mrf {
-        &self.mrf
-    }
-
-    /// The owning handle of the model (cheap to clone and share).
-    pub fn mrf_handle(&self) -> &Arc<Mrf> {
-        &self.mrf
+    pub fn model(&self) -> &M {
+        &self.model
     }
 
     /// The vertex-step rule.
@@ -577,8 +590,8 @@ impl<R: SyncRule> ShardedChain<R> {
     pub fn step_keyed(&mut self, master: u64) {
         // A cheap handle clone keeps `ctx` independent of `self`, so the
         // `&mut self` round bodies below can borrow freely.
-        let mrf = Arc::clone(&self.mrf);
-        let ctx = RoundCtx::new(&mrf, master, self.round);
+        let model = Arc::clone(&self.model);
+        let ctx = RoundCtx::new(&*model, master, self.round);
         if let Some(v) = self.rule.active_vertex(&ctx) {
             self.single_site_round(&ctx, v);
         } else {
@@ -597,7 +610,7 @@ impl<R: SyncRule> ShardedChain<R> {
 
     /// A single-site round: only the owner of the active vertex works,
     /// and the exchange ships that one state to subscribing halos.
-    fn single_site_round(&mut self, ctx: &RoundCtx, v: VertexId) {
+    fn single_site_round(&mut self, ctx: &RoundCtx<M>, v: VertexId) {
         let s = self.partition.shard_of(v);
         let spin = self.shards[s].resolve_single(&self.rule, ctx, v);
         self.state[v.index()] = spin;
@@ -615,7 +628,7 @@ impl<R: SyncRule> ShardedChain<R> {
 
     /// A synchronous round: per-shard propose + resolve in parallel,
     /// then commit and boundary exchange.
-    fn synchronous_round(&mut self, ctx: &RoundCtx) {
+    fn synchronous_round(&mut self, ctx: &RoundCtx<M>) {
         let rule = &self.rule;
         // Phase 1+2: every shard proposes over owned ∪ halo and
         // resolves its owned vertices, all within its private slab.

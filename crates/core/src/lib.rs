@@ -27,10 +27,11 @@
 //!   independent set each round, and **Algorithm 2 (LocalMetropolis)**,
 //!   simultaneous proposals at every vertex filtered by per-edge coins,
 //!   with the rule-three ablation the paper warns about;
-//! * [`csp_metropolis`] — the weighted-CSP variants of both algorithms
-//!   (strongly independent sets, per-constraint filters), built only
-//!   through [`Sampler::for_csp`](sampler::Sampler::for_csp), with the
-//!   exact CSP kernel;
+//! * [`csp_metropolis`] — the weighted-CSP LocalMetropolis rule
+//!   (per-constraint filters over the `2^k − 1` mixtures) and its exact
+//!   kernel; CSP LubyGlauber is [`engine::rules::LubyGlauberRule`] on
+//!   the primal graph. Both run on every engine backend through
+//!   [`Sampler::for_csp`](sampler::Sampler::for_csp);
 //! * [`programs`] — both algorithms as LOCAL-model vertex programs with
 //!   message-size accounting (one LOCAL round per chain step);
 //! * [`kernel`] — *exact* transition kernels of all three chains on small
@@ -84,6 +85,7 @@ pub mod labeling;
 pub mod lifecycle;
 #[cfg(test)]
 mod local_metropolis;
+#[cfg(test)]
 mod luby_glauber;
 pub mod mixing;
 pub mod net;

@@ -1,84 +1,7 @@
-//! The weighted-CSP variant of Algorithm 1 (LubyGlauber); the MRF chain
-//! itself is [`LubyGlauberRule`](crate::engine::rules::LubyGlauberRule).
-
-use crate::sampler::Chain;
-use crate::schedule::Scheduler;
-use lsl_local::rng::Xoshiro256pp;
-use lsl_mrf::csp::Csp;
-use lsl_mrf::Spin;
-use std::sync::Arc;
-
-/// The weighted-CSP variant of LubyGlauber (paper remark after Algorithm
-/// 1): neighborhoods are redefined through shared constraint scopes, so
-/// the scheduled set must be *strongly* independent. Implemented by
-/// running the scheduler on the primal graph of the scope hypergraph.
-#[derive(Clone, Debug)]
-pub(crate) struct CspLubyGlauber<S: Scheduler> {
-    csp: Arc<Csp>,
-    primal: lsl_graph::Graph,
-    scheduler: S,
-    state: Vec<Spin>,
-    mask: Vec<bool>,
-    scratch: lsl_mrf::csp::MarginalScratch,
-}
-
-impl<S: Scheduler> CspLubyGlauber<S> {
-    /// Creates the chain from `start` under `scheduler` (CSPs often have
-    /// constrained feasible spaces, so the caller provides a sensible
-    /// start — e.g. any maximal independent set for the MIS distribution).
-    ///
-    /// # Panics
-    /// Panics if the start has the wrong length.
-    pub(crate) fn with_scheduler(csp: Arc<Csp>, start: Vec<Spin>, scheduler: S) -> Self {
-        assert_eq!(start.len(), csp.graph().num_vertices());
-        let primal = csp.scope_hypergraph().primal_graph();
-        let n = csp.graph().num_vertices();
-        let scratch = lsl_mrf::csp::MarginalScratch::new(&csp);
-        CspLubyGlauber {
-            csp,
-            primal,
-            scheduler,
-            state: start,
-            mask: vec![false; n],
-            scratch,
-        }
-    }
-}
-
-impl<S: Scheduler> Chain for CspLubyGlauber<S> {
-    fn state(&self) -> &[Spin] {
-        &self.state
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        assert_eq!(state.len(), self.state.len());
-        self.state.copy_from_slice(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        // Schedule on the primal graph: an independent set there is a
-        // strongly independent set of the scope hypergraph.
-        self.scheduler.sample(&self.primal, rng, &mut self.mask);
-        for v in self.primal.vertices() {
-            if !self.mask[v.index()] {
-                continue;
-            }
-            if let Some(pick) =
-                self.csp
-                    .sample_marginal_with(v, &self.state, rng, &mut self.scratch)
-            {
-                self.state[v.index()] = pick;
-            }
-            // An ill-defined marginal (all-zero weights) can only occur
-            // from infeasible starts; keeping the old spin preserves
-            // correctness on the feasible space.
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "CspLubyGlauber"
-    }
-}
+//! Algorithm 1 (LubyGlauber) checked against exact laws. The chain
+//! itself is [`LubyGlauberRule`](crate::engine::rules::LubyGlauberRule),
+//! on MRFs and weighted CSPs alike (on a CSP it schedules on the primal
+//! graph of the scopes, so the updated set is strongly independent).
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 
 use crate::coupling::adversarial_starts;
 use crate::engine::replicas::ReplicaSet;
-use crate::engine::SyncRule;
+use crate::engine::{Model, SyncRule};
 use lsl_analysis::stats::Summary;
 use lsl_analysis::EmpiricalDistribution;
 use lsl_local::rng::derive_seed;
@@ -82,8 +82,8 @@ pub fn empirical_distribution_batched_from<R: SyncRule + Clone>(
     })
 }
 
-/// [`empirical_distribution_batched_from`] reporting progress through
-/// `progress` — the long-running loop behind the service's
+/// [`empirical_distribution_batched_from`] on any [`Model`] (MRF
+/// or CSP), reporting progress through `progress` — the long-running loop behind the service's
 /// `Progress` events. Work units are replica-batch rounds: `total =
 /// batches × steps`, ticked every few round-slices per batch.
 ///
@@ -93,8 +93,8 @@ pub fn empirical_distribution_batched_from<R: SyncRule + Clone>(
 ///
 /// # Panics
 /// Panics if the start has the wrong length.
-pub fn empirical_distribution_batched_observed<R: SyncRule + Clone>(
-    mrf: &Arc<Mrf>,
+pub fn empirical_distribution_batched_observed<M: Model, R: SyncRule<M> + Clone>(
+    model: &Arc<M>,
     rule: &R,
     start: &[Spin],
     steps: usize,
@@ -102,7 +102,7 @@ pub fn empirical_distribution_batched_observed<R: SyncRule + Clone>(
     seed: u64,
     progress: ProgressSink<'_>,
 ) -> EmpiricalDistribution {
-    let n = mrf.num_vertices().max(1);
+    let n = model.num_vertices().max(1);
     let chunk = (BATCH_SPIN_BUDGET / n).clamp(1, replicas.max(1));
     let batches = replicas.div_ceil(chunk).max(1) as u64;
     let total = batches * steps as u64;
@@ -113,11 +113,12 @@ pub fn empirical_distribution_batched_observed<R: SyncRule + Clone>(
     while done < replicas {
         let count = chunk.min(replicas - done);
         let starts: Vec<&[Spin]> = (0..count).map(|_| start).collect();
-        let mut set = ReplicaSet::independent_from(
-            Arc::clone(mrf),
+        let mut set = ReplicaSet::with_model(
+            Arc::clone(model),
             rule.clone(),
             &starts,
             derive_seed(seed, 0x4241_5443_48, batch), // "BATCH"
+            false,
         );
         // Replicas shard over all cores; trajectories are unaffected
         // (engine determinism contract).
@@ -134,7 +135,7 @@ pub fn empirical_distribution_batched_observed<R: SyncRule + Clone>(
             }
         }
         for state in set.states() {
-            emp.record(encode_config(state, mrf.q()));
+            emp.record(encode_config(state, model.q()));
         }
         done += count;
         batch += 1;

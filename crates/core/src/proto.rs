@@ -429,7 +429,9 @@ macro_rules! statics {
     )*};
 }
 
-/// Every `what` the facade puts into [`BuildError::UnsupportedOnCsp`].
+/// Every `what` the facade puts into [`BuildError::UnsupportedOnCsp`],
+/// plus two it no longer sends (CSP distribution jobs and replica
+/// batches now run), kept so stored and older peers' frames decode.
 const KNOWN_WHATS: &[&str] = &[
     "LocalMetropolis",
     "LocalMetropolis(no rule 3)",
@@ -437,6 +439,7 @@ const KNOWN_WHATS: &[&str] = &[
     "Glauber",
     "Metropolis",
     "the distribution job",
+    "the tv job",
     "the tv_curve job",
     "the coalescence job",
     "replica batching",

@@ -52,23 +52,18 @@
 //! assert!(mrf.is_feasible(sampler.state()));
 //! ```
 
+use crate::csp_metropolis::CspMetropolisRule;
 use crate::engine::replicas::ReplicaSet;
 use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
 use crate::engine::sharded::{CommStats, ShardedChain};
-use crate::engine::{Backend, HotPath, SyncChain, SyncRule};
-use crate::schedule::{
-    BernoulliFilterScheduler, ChromaticScheduler, LubyScheduler, SingletonScheduler,
-};
+use crate::engine::{Backend, HotPath, Model, SyncChain, SyncRule};
+use crate::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
 use lsl_analysis::stats::Summary;
 use lsl_analysis::EmpiricalDistribution;
-use lsl_local::rng::{derive_seed, Xoshiro256pp};
 use lsl_mrf::csp::Csp;
 use lsl_mrf::gibbs::Enumeration;
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
-
-/// Label under which CSP chain steps derive their per-round generators.
-const CSP_STEP_LABEL: u64 = 0x4353_5053_5445_5000; // "CSPSTEP\0"
 
 /// Which Markov chain the sampler runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -302,45 +297,56 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Constructs the rule named by `(algorithm, scheduler)` and hands it to
-/// the body — the single place where the algorithm/scheduler matrix is
-/// monomorphized. `$mrf` is needed for the chromatic scheduler's greedy
-/// coloring. Callers validate first, so the Bernoulli probability is
-/// known to be in range before the scheduler constructor (which would
-/// panic) runs.
-macro_rules! dispatch_rule {
-    ($alg:expr, $sched:expr, $mrf:expr, |$rule:ident| $body:expr) => {{
-        match ($alg, $sched.unwrap_or(Sched::Luby)) {
-            (Algorithm::LocalMetropolis, _) => {
-                let $rule = LocalMetropolisRule::new();
-                $body
-            }
-            (Algorithm::LocalMetropolisNoRule3, _) => {
-                let $rule = LocalMetropolisRule::without_rule3();
-                $body
-            }
-            (Algorithm::LubyGlauber, Sched::Luby) => {
+/// Constructs the LubyGlauber rule under `$sched` and hands it to the
+/// body. The chromatic scheduler colors `$model`'s interaction graph
+/// (the primal graph on a CSP); the Bernoulli probability is validated
+/// before this runs, so its constructor cannot panic.
+macro_rules! dispatch_scheduler {
+    ($sched:expr, $model:expr, |$rule:ident| $body:expr) => {{
+        match $sched {
+            Sched::Luby => {
                 let $rule = LubyGlauberRule::luby();
                 $body
             }
-            (Algorithm::LubyGlauber, Sched::Singleton) => {
+            Sched::Singleton => {
                 let $rule = LubyGlauberRule::with_scheduler(SingletonScheduler);
                 $body
             }
-            (Algorithm::LubyGlauber, Sched::Bernoulli(p)) => {
+            Sched::Bernoulli(p) => {
                 let $rule = LubyGlauberRule::with_scheduler(BernoulliFilterScheduler::new(p));
                 $body
             }
-            (Algorithm::LubyGlauber, Sched::Chromatic) => {
-                let $rule =
-                    LubyGlauberRule::with_scheduler(ChromaticScheduler::greedy($mrf.graph()));
+            Sched::Chromatic => {
+                let g = $model.interaction_graph();
+                let $rule = LubyGlauberRule::with_scheduler(ChromaticScheduler::greedy(g));
                 $body
             }
-            (Algorithm::Glauber, _) => {
+        }
+    }};
+}
+
+/// Constructs the MRF rule named by `(algorithm, scheduler)` and hands
+/// it to the body — the single place where the MRF algorithm/scheduler
+/// matrix is monomorphized. Callers validate first.
+macro_rules! dispatch_rule {
+    ($alg:expr, $sched:expr, $mrf:expr, |$rule:ident| $body:expr) => {{
+        match $alg {
+            Algorithm::LocalMetropolis => {
+                let $rule = LocalMetropolisRule::new();
+                $body
+            }
+            Algorithm::LocalMetropolisNoRule3 => {
+                let $rule = LocalMetropolisRule::without_rule3();
+                $body
+            }
+            Algorithm::LubyGlauber => {
+                dispatch_scheduler!($sched.unwrap_or(Sched::Luby), $mrf, |$rule| $body)
+            }
+            Algorithm::Glauber => {
                 let $rule = GlauberRule;
                 $body
             }
-            (Algorithm::Metropolis, _) => {
+            Algorithm::Metropolis => {
                 let $rule = MetropolisRule;
                 $body
             }
@@ -351,23 +357,52 @@ macro_rules! dispatch_rule {
 // The cluster layer monomorphizes its shard runners over the same
 // matrix (`crate::cluster` — worker and coordinator both re-derive the
 // rule from the spec line).
-pub(crate) use dispatch_rule;
+pub(crate) use {dispatch_rule, dispatch_scheduler};
+
+/// [`dispatch_rule`] over either model: binds `$model` to the model's
+/// `Arc` and `$rule` to the rule. A CSP has two rules — the
+/// per-constraint [`CspMetropolisRule`] and LubyGlauber on the primal
+/// graph; `validate()` rejects the rest before this runs.
+macro_rules! dispatch_model {
+    ($target:expr, $alg:expr, $sched:expr, |$model:ident, $rule:ident| $body:expr) => {{
+        match $target {
+            Target::Mrf($model) => dispatch_rule!($alg, $sched, $model, |$rule| $body),
+            Target::Csp($model) => match $alg {
+                Algorithm::LocalMetropolis => {
+                    let $rule = CspMetropolisRule;
+                    $body
+                }
+                Algorithm::LubyGlauber => {
+                    dispatch_scheduler!($sched.unwrap_or(Sched::Luby), $model, |$rule| $body)
+                }
+                other => unreachable!("validate() rejects {other:?} on a CSP"),
+            },
+        }
+    }};
+}
 
 /// The model a builder targets — *owned* behind an [`Arc`], so built
 /// samplers are `'static + Send` handles (the ownership redesign that
 /// lets a [`Service`](crate::service::Service) hold and serve them
 /// from worker threads).
 #[derive(Clone, Debug)]
-enum Model {
+enum Target {
     Mrf(Arc<Mrf>),
     Csp(Arc<Csp>),
 }
 
-impl Model {
+impl Target {
     fn num_vertices(&self) -> usize {
         match self {
-            Model::Mrf(m) => m.num_vertices(),
-            Model::Csp(c) => c.graph().num_vertices(),
+            Target::Mrf(m) => m.num_vertices(),
+            Target::Csp(c) => Model::num_vertices(&**c),
+        }
+    }
+
+    fn q(&self) -> usize {
+        match self {
+            Target::Mrf(m) => m.q(),
+            Target::Csp(c) => c.q(),
         }
     }
 }
@@ -378,7 +413,7 @@ impl Model {
 #[derive(Clone, Debug)]
 #[must_use = "a builder does nothing until .build() (or a job verb) runs it"]
 pub struct SamplerBuilder {
-    model: Model,
+    model: Target,
     algorithm: Algorithm,
     scheduler: Option<Sched>,
     backend: Backend,
@@ -406,8 +441,7 @@ impl SamplerBuilder {
     }
 
     /// The execution backend. Trajectories are backend-independent by
-    /// the engine's determinism contract; CSP chains are sequential and
-    /// ignore this.
+    /// the engine's determinism contract, on MRFs and CSPs alike.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -429,8 +463,9 @@ impl SamplerBuilder {
     /// (default: the engine default, [`HotPath::default`] — lane-batched
     /// kernels at auto packing). Trajectories are hot-path-independent:
     /// kernels are bit-identical to [`HotPath::Scalar`]. The sharded
-    /// executor and CSP chains always run the scalar phases and ignore
-    /// this.
+    /// executor always runs the scalar phases, and so do CSP rules,
+    /// which have no lane kernel (an explicit packing is still checked
+    /// against the CSP's `q`).
     pub fn hotpath(mut self, hotpath: HotPath) -> Self {
         self.hotpath = Some(hotpath);
         self
@@ -495,7 +530,7 @@ impl SamplerBuilder {
                 });
             }
         }
-        if let Model::Csp(_) = self.model {
+        if let Target::Csp(_) = self.model {
             match self.algorithm {
                 Algorithm::LubyGlauber | Algorithm::LocalMetropolis => {}
                 other => return Err(BuildError::UnsupportedOnCsp { what: other.name() }),
@@ -504,97 +539,55 @@ impl SamplerBuilder {
                 return Err(BuildError::StartRequiredForCsp);
             }
         }
-        if let (Model::Mrf(mrf), Some(hp)) = (&self.model, self.hotpath) {
-            hp.validate_for(mrf.q())
+        if let Some(hp) = self.hotpath {
+            hp.validate_for(self.model.q())
                 .map_err(|reason| BuildError::InvalidHotPath { reason })?;
         }
         Ok(())
+    }
+
+    /// The start every chain and replica begins from: `.start(..)` if
+    /// given, else the MRF's deterministic default start (validation
+    /// guarantees CSPs have an explicit one).
+    fn start_or_default(&self) -> Vec<Spin> {
+        match (&self.start, &self.model) {
+            (Some(start), _) => start.clone(),
+            (None, Target::Mrf(mrf)) => crate::single_site::default_start(mrf),
+            (None, Target::Csp(_)) => unreachable!("validate() requires a CSP start"),
+        }
     }
 
     /// Builds the single-trajectory [`Sampler`] — a `'static + Send`
     /// handle owning its model.
     pub fn build(self) -> Result<Sampler, BuildError> {
         self.validate()?;
-        let algorithm = self.algorithm;
-        let backend = self.backend;
-        let mut sampler = match self.model {
-            Model::Mrf(mrf) => {
-                let start = self.start;
-                let seed = self.seed;
-                let hotpath = self.hotpath;
-                dispatch_rule!(self.algorithm, self.scheduler, &mrf, |rule| {
-                    // The sharded backend is a different executor, not a
-                    // different sweep order: owner-computes shards over a
-                    // contiguous partition, exchanging boundary states.
-                    // `cluster:k` built in-process is the same executor
-                    // with the same partition — the distributed run (see
-                    // `crate::cluster`) is bit-identical to it by the
-                    // determinism contract.
-                    let start = start.unwrap_or_else(|| crate::single_site::default_start(&mrf));
-                    let inner: Box<dyn DynSampler + Send> = match backend {
-                        Backend::Sharded { .. } | Backend::Cluster { .. } => {
-                            // min-then-max (not clamp) so a hypothetical
-                            // empty model degrades instead of panicking.
-                            let k = backend.worker_count().min(mrf.num_vertices()).max(1);
-                            let partition = self.partitioner.partition(mrf.graph(), k);
-                            Box::new(ShardedChain::with_state(
-                                Arc::clone(&mrf),
-                                rule,
-                                seed,
-                                start,
-                                partition,
-                            ))
-                        }
-                        _ => {
-                            let mut chain =
-                                SyncChain::with_state(Arc::clone(&mrf), rule, seed, start);
-                            chain.set_backend(backend);
-                            if let Some(hp) = hotpath {
-                                // Validated above, so this cannot panic.
-                                chain.set_hotpath(hp);
-                            }
-                            Box::new(chain)
-                        }
-                    };
-                    Sampler {
-                        inner,
-                        mrf: Some(mrf),
-                        algorithm,
-                        backend,
-                    }
-                })
-            }
-            Model::Csp(csp) => {
-                let start = self.start.expect("validated above");
-                let seed = self.seed;
-                let inner = match self.algorithm {
-                    Algorithm::LubyGlauber => match self.scheduler.unwrap_or(Sched::Luby) {
-                        Sched::Luby => csp_luby_glauber(&csp, start, LubyScheduler::new(), seed),
-                        Sched::Singleton => csp_luby_glauber(&csp, start, SingletonScheduler, seed),
-                        Sched::Bernoulli(p) => {
-                            csp_luby_glauber(&csp, start, BernoulliFilterScheduler::new(p), seed)
-                        }
-                        Sched::Chromatic => {
-                            // Schedule on the primal graph of the scope
-                            // hypergraph, as the chain does.
-                            let primal = csp.scope_hypergraph().primal_graph();
-                            let sched = ChromaticScheduler::greedy(&primal);
-                            csp_luby_glauber(&csp, start, sched, seed)
-                        }
-                    },
-                    Algorithm::LocalMetropolis => Box::new(KeyedLegacy::new(
-                        crate::csp_metropolis::CspLocalMetropolis::new(Arc::clone(&csp), start),
-                        seed,
-                    )),
-                    _ => unreachable!("validated above"),
-                };
-                Sampler {
-                    inner,
-                    mrf: None,
-                    algorithm,
+        let start = self.start_or_default();
+        let (backend, partitioner, hotpath, seed) =
+            (self.backend, self.partitioner, self.hotpath, self.seed);
+        let inner = dispatch_model!(
+            &self.model,
+            self.algorithm,
+            self.scheduler,
+            |model, rule| {
+                single_chain(
+                    Arc::clone(model),
+                    rule,
+                    seed,
+                    start,
                     backend,
-                }
+                    partitioner,
+                    hotpath,
+                )
             }
+        );
+        let mut sampler = Sampler {
+            inner,
+            mrf: match &self.model {
+                Target::Mrf(mrf) => Some(Arc::clone(mrf)),
+                Target::Csp(_) => None,
+            },
+            algorithm: self.algorithm,
+            backend,
         };
         sampler.run(self.burn_in);
         Ok(sampler)
@@ -609,21 +602,14 @@ impl SamplerBuilder {
     // deterministic default start otherwise; `.burn_in(..)` configures
     // *built* samplers, not distribution-versus-time measurements.
 
-    /// Requires an MRF model (jobs run through the batched engine).
+    /// Requires an MRF model: the jobs that compare against exact Gibbs
+    /// enumeration or run grand couplings from adversarial starts.
     fn require_mrf(&self, what: &'static str) -> Result<&Arc<Mrf>, BuildError> {
         self.validate()?;
         match &self.model {
-            Model::Mrf(mrf) => Ok(mrf),
-            Model::Csp(_) => Err(BuildError::UnsupportedOnCsp { what }),
+            Target::Mrf(mrf) => Ok(mrf),
+            Target::Csp(_) => Err(BuildError::UnsupportedOnCsp { what }),
         }
-    }
-
-    /// The replica start of the measurement jobs: `.start(..)` if
-    /// given, else the deterministic default start.
-    fn job_start(&self, mrf: &Mrf) -> Vec<Spin> {
-        self.start
-            .clone()
-            .unwrap_or_else(|| crate::single_site::default_start(mrf))
     }
 
     /// The empirical distribution of final configurations over
@@ -649,16 +635,16 @@ impl SamplerBuilder {
         replicas: usize,
         progress: crate::mixing::ProgressSink<'_>,
     ) -> Result<EmpiricalDistribution, BuildError> {
-        let mrf = self.require_mrf("the distribution job")?;
+        self.validate()?;
         let seed = self.seed;
-        let start = self.job_start(mrf);
-        Ok(dispatch_rule!(
+        let start = self.start_or_default();
+        Ok(dispatch_model!(
+            &self.model,
             self.algorithm,
             self.scheduler,
-            mrf,
-            |rule| {
+            |model, rule| {
                 crate::mixing::empirical_distribution_batched_observed(
-                    mrf, &rule, &start, steps, replicas, seed, progress,
+                    model, &rule, &start, steps, replicas, seed, progress,
                 )
             }
         ))
@@ -687,6 +673,7 @@ impl SamplerBuilder {
         replicas: usize,
         progress: crate::mixing::ProgressSink<'_>,
     ) -> Result<f64, BuildError> {
+        self.require_mrf("the tv job")?;
         let emp = self.distribution_observed(steps, replicas, progress)?;
         Ok(emp.tv_against_dense(&exact.distribution()))
     }
@@ -701,7 +688,7 @@ impl SamplerBuilder {
     ) -> Result<Vec<(usize, f64)>, BuildError> {
         let mrf = self.require_mrf("the tv_curve job")?;
         let seed = self.seed;
-        let start = self.job_start(mrf);
+        let start = self.start_or_default();
         Ok(dispatch_rule!(
             self.algorithm,
             self.scheduler,
@@ -807,83 +794,95 @@ impl ReplicaBuilder {
         if self.count == 0 {
             return Err(BuildError::ZeroReplicas);
         }
-        let mrf = match self.base.model {
-            Model::Mrf(ref mrf) => Arc::clone(mrf),
-            Model::Csp(_) => {
-                return Err(BuildError::UnsupportedOnCsp {
-                    what: "replica batching",
-                })
-            }
-        };
-        let n = mrf.num_vertices();
+        let n = self.base.model.num_vertices();
         // Per-replica starts are validated here; the single-base case
         // keeps just one configuration and hands out references (a large
         // iid fleet must not materialize `count` copies of the start).
-        let explicit: Option<Vec<Vec<Spin>>> = match self.starts {
-            Some(starts) => {
-                if starts.len() != self.count {
-                    return Err(BuildError::StartCount {
-                        expected: self.count,
-                        got: starts.len(),
-                    });
-                }
-                for s in &starts {
-                    if s.len() != n {
-                        return Err(BuildError::StartLength {
-                            expected: n,
-                            got: s.len(),
-                        });
-                    }
-                }
-                Some(starts)
+        if let Some(starts) = &self.starts {
+            if starts.len() != self.count {
+                return Err(BuildError::StartCount {
+                    expected: self.count,
+                    got: starts.len(),
+                });
             }
-            None => None,
-        };
-        let base: Vec<Spin> = match &explicit {
+            if let Some(s) = starts.iter().find(|s| s.len() != n) {
+                return Err(BuildError::StartLength {
+                    expected: n,
+                    got: s.len(),
+                });
+            }
+        }
+        let base = match &self.starts {
             Some(_) => Vec::new(),
-            None => self
-                .base
-                .start
-                .clone()
-                .unwrap_or_else(|| crate::single_site::default_start(&mrf)),
+            None => self.base.start_or_default(),
         };
-        let algorithm = self.base.algorithm;
-        let backend = self.base.backend;
-        let seed = self.base.seed;
-        let coupled = self.coupled;
-        let count = self.count;
-        let mut set = dispatch_rule!(self.base.algorithm, self.base.scheduler, &mrf, |rule| {
-            let set: Box<dyn DynReplicas + Send> = if coupled {
-                // Coupled batches are small (grand couplings over a
-                // handful of adversarial starts); owned copies are fine.
-                let owned = explicit.unwrap_or_else(|| vec![base; count]);
-                Box::new(ReplicaSet::coupled(Arc::clone(&mrf), rule, &owned, seed))
-            } else {
-                let refs: Vec<&[Spin]> = match &explicit {
-                    Some(starts) => starts.iter().map(|s| &s[..]).collect(),
-                    None => (0..count).map(|_| &base[..]).collect(),
-                };
-                Box::new(ReplicaSet::independent_from(
-                    Arc::clone(&mrf),
+        let refs: Vec<&[Spin]> = match &self.starts {
+            Some(starts) => starts.iter().map(|s| &s[..]).collect(),
+            None => (0..self.count).map(|_| &base[..]).collect(),
+        };
+        let (seed, coupled) = (self.base.seed, self.coupled);
+        let mut set = dispatch_model!(
+            &self.base.model,
+            self.base.algorithm,
+            self.base.scheduler,
+            |model, rule| {
+                let set: Box<dyn DynReplicas + Send> = Box::new(ReplicaSet::with_model(
+                    Arc::clone(model),
                     rule,
                     &refs,
                     seed,
-                ))
-            };
-            set
-        });
-        set.set_backend(backend);
+                    coupled,
+                ));
+                set
+            }
+        );
+        set.set_backend(self.base.backend);
         if let Some(hp) = self.base.hotpath {
             // Validated above, so this cannot panic.
             set.set_hotpath(hp);
         }
         let mut sampler = ReplicaSampler {
             inner: set,
-            algorithm,
-            backend,
+            algorithm: self.base.algorithm,
+            backend: self.base.backend,
         };
         sampler.run(self.base.burn_in);
         Ok(sampler)
+    }
+}
+
+/// The single chain a [`SamplerBuilder`] describes, on any model: the
+/// sharded executor for `sharded:k` and in-process `cluster:k` (the
+/// distributed run of `crate::cluster` is bit-identical to it by the
+/// determinism contract), the flat engine chain otherwise.
+fn single_chain<M: Model, R: SyncRule<M> + 'static>(
+    model: Arc<M>,
+    rule: R,
+    seed: u64,
+    start: Vec<Spin>,
+    backend: Backend,
+    partitioner: lsl_graph::partition::Partitioner,
+    hotpath: Option<HotPath>,
+) -> Box<dyn DynSampler + Send> {
+    match backend {
+        Backend::Sharded { .. } | Backend::Cluster { .. } => {
+            // min-then-max (not clamp) so a hypothetical empty model
+            // degrades instead of panicking.
+            let k = backend.worker_count().min(model.num_vertices()).max(1);
+            let partition = partitioner.partition(model.interaction_graph(), k);
+            Box::new(ShardedChain::with_model(
+                model, rule, seed, start, partition,
+            ))
+        }
+        _ => {
+            let mut chain = SyncChain::with_model(model, rule, seed, start);
+            chain.set_backend(backend);
+            if let Some(hp) = hotpath {
+                // Validated by the builder, so this cannot panic.
+                chain.set_hotpath(hp);
+            }
+            Box::new(chain)
+        }
     }
 }
 
@@ -892,7 +891,7 @@ impl ReplicaBuilder {
 // ---------------------------------------------------------------------
 
 /// Object-safe surface of a single chain (implemented by every
-/// `SyncChain<R>` and by keyed CSP [`Chain`]s).
+/// `SyncChain` and `ShardedChain`).
 trait DynSampler {
     fn step(&mut self);
     fn step_keyed(&mut self, master: u64);
@@ -908,7 +907,7 @@ trait DynSampler {
     fn reset_comm(&mut self) {}
 }
 
-impl<R: SyncRule> DynSampler for ShardedChain<R> {
+impl<M: Model, R: SyncRule<M>> DynSampler for ShardedChain<R, M> {
     fn step(&mut self) {
         ShardedChain::step(self);
     }
@@ -935,7 +934,7 @@ impl<R: SyncRule> DynSampler for ShardedChain<R> {
     }
 }
 
-impl<R: SyncRule> DynSampler for SyncChain<R> {
+impl<M: Model, R: SyncRule<M>> DynSampler for SyncChain<R, M> {
     fn step(&mut self) {
         SyncChain::step(self);
     }
@@ -954,85 +953,6 @@ impl<R: SyncRule> DynSampler for SyncChain<R> {
     fn name(&self) -> &'static str {
         self.rule().name()
     }
-}
-
-/// A CSP chain stepped by an external generator — the chains that do
-/// not yet run as engine rules. Only [`KeyedLegacy`] drives it.
-pub(crate) trait Chain {
-    /// The current configuration.
-    fn state(&self) -> &[Spin];
-
-    /// Overwrites the current configuration.
-    ///
-    /// # Panics
-    /// Implementations panic if the length is wrong.
-    fn set_state(&mut self, state: &[Spin]);
-
-    /// Advances the chain by one step, drawing from `rng`.
-    fn step(&mut self, rng: &mut Xoshiro256pp);
-
-    /// Human-readable chain name for experiment output.
-    fn name(&self) -> &'static str;
-}
-
-/// Adapts a [`Chain`] (stepped by an external generator) to the
-/// facade's self-keyed stepping: round `r` draws from a generator seeded
-/// by `derive(master, "CSPSTEP", r)`, so the determinism contract's
-/// `(master, round)` purity holds for CSP chains too.
-struct KeyedLegacy<C: Chain> {
-    chain: C,
-    master: u64,
-    round: u64,
-}
-
-impl<C: Chain> KeyedLegacy<C> {
-    fn new(chain: C, master: u64) -> Self {
-        KeyedLegacy {
-            chain,
-            master,
-            round: 0,
-        }
-    }
-}
-
-impl<C: Chain> DynSampler for KeyedLegacy<C> {
-    fn step(&mut self) {
-        self.step_keyed(self.master);
-    }
-    fn step_keyed(&mut self, master: u64) {
-        // Mix the round index into the key, matching the MRF path
-        // (`SyncChain::step_keyed` derives from `(master, round)`): a
-        // caller feeding a constant key still gets fresh randomness per
-        // round, and coupled copies at equal rounds share every draw.
-        let key = derive_seed(master, CSP_STEP_LABEL, self.round);
-        self.chain.step(&mut Xoshiro256pp::seed_from(key));
-        self.round += 1;
-    }
-    fn state(&self) -> &[Spin] {
-        self.chain.state()
-    }
-    fn set_state(&mut self, state: &[Spin]) {
-        self.chain.set_state(state);
-    }
-    fn round(&self) -> u64 {
-        self.round
-    }
-    fn name(&self) -> &'static str {
-        self.chain.name()
-    }
-}
-
-/// The CSP LubyGlauber chain under `scheduler`, keyed by `seed`.
-fn csp_luby_glauber<S: crate::schedule::Scheduler + Send + 'static>(
-    csp: &Arc<Csp>,
-    start: Vec<Spin>,
-    scheduler: S,
-    seed: u64,
-) -> Box<dyn DynSampler + Send> {
-    Box::new(KeyedLegacy::new(
-        crate::luby_glauber::CspLubyGlauber::with_scheduler(Arc::clone(csp), start, scheduler),
-        seed,
-    ))
 }
 
 /// One trajectory built by the facade. `step`/`run` advance self-keyed
@@ -1058,7 +978,7 @@ impl Sampler {
     /// served concurrently (see [`Service`](crate::service::Service)).
     pub fn for_mrf(mrf: impl Into<Arc<Mrf>>) -> SamplerBuilder {
         SamplerBuilder {
-            model: Model::Mrf(mrf.into()),
+            model: Target::Mrf(mrf.into()),
             algorithm: Algorithm::LocalMetropolis,
             scheduler: None,
             backend: Backend::Sequential,
@@ -1076,7 +996,7 @@ impl Sampler {
     /// `impl Into<Arc<Csp>>`, exactly like [`Sampler::for_mrf`].
     pub fn for_csp(csp: impl Into<Arc<Csp>>) -> SamplerBuilder {
         SamplerBuilder {
-            model: Model::Csp(csp.into()),
+            model: Target::Csp(csp.into()),
             algorithm: Algorithm::LubyGlauber,
             scheduler: None,
             backend: Backend::Sequential,
@@ -1202,7 +1122,7 @@ trait DynReplicas {
     fn set_hotpath(&mut self, hotpath: HotPath);
 }
 
-impl<R: SyncRule> DynReplicas for ReplicaSet<R> {
+impl<M: Model, R: SyncRule<M>> DynReplicas for ReplicaSet<R, M> {
     fn step_all(&mut self) {
         ReplicaSet::step_all(self);
     }
@@ -1528,7 +1448,7 @@ mod tests {
             .unwrap();
         s.run(80);
         assert!(csp.is_feasible(s.state()));
-        assert_eq!(s.name(), "CspLubyGlauber");
+        assert_eq!(s.name(), "LubyGlauber");
         assert!(s.mrf().is_none());
     }
 

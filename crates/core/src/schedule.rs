@@ -19,53 +19,47 @@
 //!   coloring. *Not* an independent sampler (it is a systematic scan), so
 //!   Proposition 3.1's proof does not apply round-by-round — it is here as
 //!   the baseline the paper contrasts with.
+//!
+//! Every scheduler selects on the model's
+//! [interaction graph](crate::engine::Model::interaction_graph): on
+//! a CSP that is the primal graph of the scopes, so the selected set is
+//! *strongly* independent (the remark after Algorithm 1).
 
-use crate::engine::RoundCtx;
+use crate::engine::{Model, RoundCtx};
 use lsl_graph::coloring::ProperColoring;
 use lsl_graph::{Graph, VertexId};
 use lsl_local::rng::Xoshiro256pp;
-use rand::RngExt;
 
-/// A strategy for picking the set of vertices to update this round,
-/// expressed as one sequential draw (the legacy formulation; the CSP
-/// chains and the exact-kernel machinery still consume it).
-pub trait Scheduler {
-    /// Fills `out` (length `n`) with the membership mask of this round's
-    /// update set. The set must be independent in `g`.
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]);
-
-    /// Scheduler name for experiment output.
-    fn name(&self) -> &'static str;
-
-    /// A lower bound on `Pr[v ∈ I]` (the γ of Theorem 3.2's remark), if
-    /// the scheduler samples independently each round.
-    fn gamma(&self, g: &Graph) -> Option<f64>;
-}
-
-/// The same selection logic in the step engine's per-vertex form: a
-/// **mark** drawn from each vertex's private round stream, then a pure
-/// **selection** predicate over the neighborhood's marks (plus the
-/// round-shared stream for global draws). This is what lets LubyGlauber
-/// rounds execute in parallel — or batched across replicas — without
-/// changing the scheduled set's distribution. Schedulers are
-/// `Send + Sync` so the rules that embed them make `Send` chains, and
-/// `Clone + 'static` so the hot-path kernels can own a copy.
+/// A strategy for picking the set of vertices to update each round, in
+/// the step engine's per-vertex form: a **mark** drawn from each
+/// vertex's private round stream, then a pure **selection** predicate
+/// over the neighborhood's marks (plus the round-shared stream for
+/// global draws). This is what lets LubyGlauber rounds execute in
+/// parallel — or batched across replicas — without changing the
+/// scheduled set's distribution. Schedulers are `Send + Sync` so the
+/// rules that embed them make `Send` chains, and `Clone + 'static` so
+/// the hot-path kernels can own a copy.
 pub trait VertexScheduler: Send + Sync + Clone + 'static {
     /// The per-vertex mark published by the propose phase.
     type Mark: Copy + Send + Sync + Default;
+
+    /// A lower bound on `Pr[v ∈ I]` over `g` (the γ of Theorem 3.2's
+    /// remark), if the scheduler samples independently each round.
+    fn gamma(&self, g: &Graph) -> Option<f64>;
 
     /// Draws vertex `v`'s mark from its private stream.
     fn mark(&self, v: VertexId, rng: &mut Xoshiro256pp) -> Self::Mark;
 
     /// Whether `v` is in this round's update set, as a pure function of
-    /// the marks and the round context. Must yield an independent set.
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[Self::Mark]) -> bool;
+    /// the marks and the round context. Must yield an independent set
+    /// of the interaction graph.
+    fn selected<M: Model>(&self, ctx: &RoundCtx<M>, v: VertexId, marks: &[Self::Mark]) -> bool;
 
     /// For schedulers that select exactly one, mark-independent vertex
     /// per round: the engine then takes its single-site fast path (no
     /// propose sweep, no double-buffering) instead of resolving every
     /// vertex. Must agree with [`VertexScheduler::selected`].
-    fn single_vertex(&self, ctx: &RoundCtx) -> Option<VertexId> {
+    fn single_vertex<M: Model>(&self, ctx: &RoundCtx<M>) -> Option<VertexId> {
         let _ = ctx;
         None
     }
@@ -77,48 +71,28 @@ pub trait VertexScheduler: Send + Sync + Clone + 'static {
 /// `β_v > max{β_u : u ∈ Γ(v)}`. Ties (probability ~2⁻⁵³ per pair) are
 /// broken by vertex id, preserving independence.
 #[derive(Clone, Debug, Default)]
-pub struct LubyScheduler {
-    betas: Vec<f64>,
-}
+pub struct LubyScheduler;
 
 impl LubyScheduler {
     /// Creates a Luby scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for LubyScheduler {
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        let n = g.num_vertices();
-        self.betas.resize(n, 0.0);
-        for slot in self.betas.iter_mut() {
-            *slot = rng.uniform_f64();
-        }
-        for v in g.vertices() {
-            let key = (self.betas[v.index()], v.0);
-            out[v.index()] = g.neighbors(v).all(|u| key > (self.betas[u.index()], u.0));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Luby"
-    }
-
-    fn gamma(&self, g: &Graph) -> Option<f64> {
-        Some(1.0 / (g.max_degree() as f64 + 1.0))
+        LubyScheduler
     }
 }
 
 impl VertexScheduler for LubyScheduler {
     type Mark = f64;
 
+    fn gamma(&self, g: &Graph) -> Option<f64> {
+        Some(1.0 / (g.max_degree() as f64 + 1.0))
+    }
+
     fn mark(&self, _v: VertexId, rng: &mut Xoshiro256pp) -> f64 {
         rng.uniform_f64()
     }
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[f64]) -> bool {
-        let g = ctx.mrf().graph();
+    fn selected<M: Model>(&self, ctx: &RoundCtx<M>, v: VertexId, marks: &[f64]) -> bool {
+        let g = ctx.model().interaction_graph();
         let key = (marks[v.index()], v.0);
         g.neighbors(v).all(|u| key > (marks[u.index()], u.0))
     }
@@ -129,37 +103,23 @@ impl VertexScheduler for LubyScheduler {
 #[derive(Clone, Debug, Default)]
 pub struct SingletonScheduler;
 
-impl Scheduler for SingletonScheduler {
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        out.fill(false);
-        let n = g.num_vertices();
-        if n > 0 {
-            out[rng.random_range(0..n)] = true;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Singleton"
-    }
+impl VertexScheduler for SingletonScheduler {
+    type Mark = ();
 
     fn gamma(&self, g: &Graph) -> Option<f64> {
         Some(1.0 / g.num_vertices().max(1) as f64)
     }
-}
-
-impl VertexScheduler for SingletonScheduler {
-    type Mark = ();
 
     fn mark(&self, _v: VertexId, _rng: &mut Xoshiro256pp) {}
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
+    fn selected<M: Model>(&self, ctx: &RoundCtx<M>, v: VertexId, _marks: &[()]) -> bool {
         // Every vertex evaluates the same shared draw, so exactly one is
         // selected per round.
-        ctx.mrf().num_vertices() > 0 && v == ctx.shared_vertex()
+        self.single_vertex(ctx) == Some(v)
     }
 
-    fn single_vertex(&self, ctx: &RoundCtx) -> Option<VertexId> {
-        if ctx.mrf().num_vertices() == 0 {
+    fn single_vertex<M: Model>(&self, ctx: &RoundCtx<M>) -> Option<VertexId> {
+        if ctx.model().num_vertices() == 0 {
             return None;
         }
         Some(ctx.shared_vertex())
@@ -171,7 +131,6 @@ impl VertexScheduler for SingletonScheduler {
 #[derive(Clone, Debug)]
 pub struct BernoulliFilterScheduler {
     p: f64,
-    volunteered: Vec<bool>,
 }
 
 impl BernoulliFilterScheduler {
@@ -184,62 +143,40 @@ impl BernoulliFilterScheduler {
             p > 0.0 && p <= 1.0,
             "volunteering probability must be in (0, 1]"
         );
-        BernoulliFilterScheduler {
-            p,
-            volunteered: Vec::new(),
-        }
-    }
-}
-
-impl Scheduler for BernoulliFilterScheduler {
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        let n = g.num_vertices();
-        self.volunteered.resize(n, false);
-        for slot in self.volunteered.iter_mut() {
-            *slot = rng.uniform_f64() < self.p;
-        }
-        for v in g.vertices() {
-            out[v.index()] =
-                self.volunteered[v.index()] && g.neighbors(v).all(|u| !self.volunteered[u.index()]);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "BernoulliFilter"
-    }
-
-    fn gamma(&self, g: &Graph) -> Option<f64> {
-        Some(self.p * (1.0 - self.p).powi(g.max_degree() as i32))
+        BernoulliFilterScheduler { p }
     }
 }
 
 impl VertexScheduler for BernoulliFilterScheduler {
     type Mark = bool;
 
+    fn gamma(&self, g: &Graph) -> Option<f64> {
+        Some(self.p * (1.0 - self.p).powi(g.max_degree() as i32))
+    }
+
     fn mark(&self, _v: VertexId, rng: &mut Xoshiro256pp) -> bool {
         rng.uniform_f64() < self.p
     }
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[bool]) -> bool {
-        marks[v.index()] && ctx.mrf().graph().neighbors(v).all(|u| !marks[u.index()])
+    fn selected<M: Model>(&self, ctx: &RoundCtx<M>, v: VertexId, marks: &[bool]) -> bool {
+        let g = ctx.model().interaction_graph();
+        marks[v.index()] && g.neighbors(v).all(|u| !marks[u.index()])
     }
 }
 
 /// The chromatic scheduler of Gonzalez et al.: cycles through the classes
-/// of a proper coloring deterministically.
+/// of a proper coloring deterministically — round `r` updates class
+/// `r mod classes`.
 #[derive(Clone, Debug)]
 pub struct ChromaticScheduler {
     coloring: ProperColoring,
-    next_class: u32,
 }
 
 impl ChromaticScheduler {
-    /// Builds the scheduler from a proper coloring of the network.
+    /// Builds the scheduler from a proper coloring of the interaction
+    /// graph.
     pub fn new(coloring: ProperColoring) -> Self {
-        ChromaticScheduler {
-            coloring,
-            next_class: 0,
-        }
+        ChromaticScheduler { coloring }
     }
 
     /// Builds the scheduler from the greedy (Δ+1)-coloring of `g`.
@@ -253,33 +190,17 @@ impl ChromaticScheduler {
     }
 }
 
-impl Scheduler for ChromaticScheduler {
-    fn sample(&mut self, _g: &Graph, _rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        let class = self.next_class;
-        self.next_class = (self.next_class + 1) % self.coloring.num_classes().max(1) as u32;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.coloring.color(VertexId(i as u32)) == class;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Chromatic"
-    }
+impl VertexScheduler for ChromaticScheduler {
+    type Mark = ();
 
     fn gamma(&self, _g: &Graph) -> Option<f64> {
         // Deterministic schedule: not an independent per-round sampler.
         None
     }
-}
-
-impl VertexScheduler for ChromaticScheduler {
-    type Mark = ();
 
     fn mark(&self, _v: VertexId, _rng: &mut Xoshiro256pp) {}
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
-        // Engine form: the class is a function of the round index (the
-        // legacy form keeps a cursor instead).
+    fn selected<M: Model>(&self, ctx: &RoundCtx<M>, v: VertexId, _marks: &[()]) -> bool {
         let classes = self.coloring.num_classes().max(1) as u64;
         self.coloring.color(v) == (ctx.round() % classes) as u32
     }
@@ -289,27 +210,54 @@ impl VertexScheduler for ChromaticScheduler {
 mod tests {
     use super::*;
     use lsl_graph::generators;
+    use lsl_mrf::{models, Mrf};
 
-    fn check_independent(g: &Graph, s: &mut impl Scheduler, seeds: u64) {
-        let mut out = vec![false; g.num_vertices()];
+    /// The update mask of round `round` under `master`: every vertex
+    /// marks from its propose stream, then the selection predicate runs
+    /// (what the engine's LubyGlauber rule does each round).
+    fn mask<S: VertexScheduler>(s: &S, model: &Mrf, master: u64, round: u64) -> Vec<bool> {
+        let ctx = RoundCtx::new(model, master, round);
+        let marks: Vec<S::Mark> = model
+            .graph()
+            .vertices()
+            .map(|v| s.mark(v, ctx.propose_rng(v).raw()))
+            .collect();
+        let mut out = vec![false; model.num_vertices()];
+        crate::engine::rules::scheduled_mask(s, &ctx, &marks, &mut out);
+        out
+    }
+
+    fn check_independent<S: VertexScheduler>(g: &Graph, s: &S, seeds: u64) {
+        let model = models::uniform_independent_set(g.clone());
         for seed in 0..seeds {
-            let mut rng = Xoshiro256pp::seed_from(seed);
-            s.sample(g, &mut rng, &mut out);
+            let out = mask(s, &model, seed, seed);
             assert!(
                 g.is_independent_set(&out),
                 "{} produced a dependent set",
-                s.name()
+                std::any::type_name::<S>()
             );
         }
+    }
+
+    /// Per-vertex selection frequencies over `trials` rounds.
+    fn frequencies<S: VertexScheduler>(g: &Graph, s: &S, trials: u64) -> Vec<f64> {
+        let model = models::uniform_independent_set(g.clone());
+        let mut counts = vec![0usize; g.num_vertices()];
+        for seed in 0..trials {
+            for (c, b) in counts.iter_mut().zip(mask(s, &model, seed, 0)) {
+                *c += b as usize;
+            }
+        }
+        counts.iter().map(|&c| c as f64 / trials as f64).collect()
     }
 
     #[test]
     fn all_schedulers_produce_independent_sets() {
         let g = generators::torus(4, 4);
-        check_independent(&g, &mut LubyScheduler::new(), 50);
-        check_independent(&g, &mut SingletonScheduler, 50);
-        check_independent(&g, &mut BernoulliFilterScheduler::new(0.4), 50);
-        check_independent(&g, &mut ChromaticScheduler::greedy(&g), 50);
+        check_independent(&g, &LubyScheduler::new(), 50);
+        check_independent(&g, &SingletonScheduler, 50);
+        check_independent(&g, &BernoulliFilterScheduler::new(0.4), 50);
+        check_independent(&g, &ChromaticScheduler::greedy(&g), 50);
     }
 
     #[test]
@@ -317,21 +265,9 @@ mod tests {
         // Pr[v ∈ I] = 1/(deg(v)+1) exactly: on a star, hub has 1/(n+1),
         // leaves 1/2.
         let g = generators::star(4);
-        let mut sched = LubyScheduler::new();
-        let mut out = vec![false; g.num_vertices()];
-        let trials = 60_000;
-        let mut hub = 0usize;
-        let mut leaf = 0usize;
-        for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from(seed as u64);
-            sched.sample(&g, &mut rng, &mut out);
-            hub += out[0] as usize;
-            leaf += out[1] as usize;
-        }
-        let hub_freq = hub as f64 / trials as f64;
-        let leaf_freq = leaf as f64 / trials as f64;
-        assert!((hub_freq - 0.2).abs() < 0.01, "hub = {hub_freq}");
-        assert!((leaf_freq - 0.5).abs() < 0.01, "leaf = {leaf_freq}");
+        let freq = frequencies(&g, &LubyScheduler::new(), 60_000);
+        assert!((freq[0] - 0.2).abs() < 0.01, "hub = {}", freq[0]);
+        assert!((freq[1] - 0.5).abs() < 0.01, "leaf = {}", freq[1]);
     }
 
     #[test]
@@ -339,20 +275,9 @@ mod tests {
         // Empirical Pr[v ∈ I] ≥ γ = 1/(Δ+1) for every vertex on an
         // irregular graph.
         let g = generators::caterpillar(4, 2);
-        let mut sched = LubyScheduler::new();
+        let sched = LubyScheduler::new();
         let gamma = sched.gamma(&g).unwrap();
-        let mut out = vec![false; g.num_vertices()];
-        let trials = 40_000;
-        let mut counts = vec![0usize; g.num_vertices()];
-        for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from(seed as u64);
-            sched.sample(&g, &mut rng, &mut out);
-            for (c, &b) in counts.iter_mut().zip(out.iter()) {
-                *c += b as usize;
-            }
-        }
-        for (v, &c) in counts.iter().enumerate() {
-            let freq = c as f64 / trials as f64;
+        for (v, freq) in frequencies(&g, &sched, 40_000).into_iter().enumerate() {
             assert!(
                 freq >= gamma - 0.01,
                 "vertex {v}: freq {freq} < gamma {gamma}"
@@ -363,14 +288,11 @@ mod tests {
     #[test]
     fn chromatic_covers_everyone_per_sweep() {
         let g = generators::cycle(6);
-        let mut sched = ChromaticScheduler::greedy(&g);
-        let classes = sched.num_classes();
+        let model = models::uniform_independent_set(g.clone());
+        let sched = ChromaticScheduler::greedy(&g);
         let mut covered = [false; 6];
-        let mut out = vec![false; 6];
-        let mut rng = Xoshiro256pp::seed_from(0);
-        for _ in 0..classes {
-            sched.sample(&g, &mut rng, &mut out);
-            for (c, &b) in covered.iter_mut().zip(out.iter()) {
+        for round in 0..sched.num_classes() as u64 {
+            for (c, b) in covered.iter_mut().zip(mask(&sched, &model, 0, round)) {
                 *c |= b;
             }
         }
@@ -382,12 +304,9 @@ mod tests {
 
     #[test]
     fn singleton_picks_exactly_one() {
-        let g = generators::complete(5);
-        let mut out = vec![false; 5];
-        let mut sched = SingletonScheduler;
-        let mut rng = Xoshiro256pp::seed_from(8);
-        for _ in 0..20 {
-            sched.sample(&g, &mut rng, &mut out);
+        let model = models::uniform_independent_set(generators::complete(5));
+        for round in 0..20 {
+            let out = mask(&SingletonScheduler, &model, 8, round);
             assert_eq!(out.iter().filter(|&&b| b).count(), 1);
         }
     }
@@ -403,11 +322,8 @@ mod tests {
     #[test]
     fn luby_empty_graph_selects_all() {
         // With no neighbors everyone is a local maximum.
-        let g = lsl_graph::Graph::from_edges(3, &[]);
-        let mut out = vec![false; 3];
-        let mut sched = LubyScheduler::new();
-        let mut rng = Xoshiro256pp::seed_from(0);
-        sched.sample(&g, &mut rng, &mut out);
+        let model = models::uniform_independent_set(lsl_graph::Graph::from_edges(3, &[]));
+        let out = mask(&LubyScheduler::new(), &model, 0, 0);
         assert!(out.iter().all(|&b| b));
     }
 }

@@ -42,7 +42,7 @@ impl ScanChain {
         let mrf = mrf.into();
         let state = default_start(&mrf);
         let scratch = vec![0.0; mrf.q()];
-        let resampler = Resampler::new(&mrf);
+        let resampler = Resampler::new(&*mrf);
         ScanChain {
             mrf,
             state,

@@ -21,6 +21,7 @@
 //! subgenerator), keeping coupled streams aligned regardless of internal
 //! rejection sampling.
 
+use crate::engine::Model;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::{Mrf, Spin};
 
@@ -33,12 +34,12 @@ pub struct Resampler {
 
 impl Resampler {
     /// Builds a resampler, detecting whether the model has uniform
-    /// positive marginal weights (hard edge constraints + indicator-like
-    /// vertex activities).
-    pub fn new(mrf: &Mrf) -> Self {
+    /// positive marginal weights (hard constraints, plus indicator-like
+    /// vertex activities on an MRF).
+    pub fn new<M: Model>(model: &M) -> Self {
         Resampler {
-            uniform_marginals: has_uniform_marginals(mrf),
-            perm: (0..mrf.q() as u32).collect(),
+            uniform_marginals: model.has_uniform_marginals(),
+            perm: (0..model.q() as u32).collect(),
         }
     }
 

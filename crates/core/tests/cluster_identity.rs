@@ -266,3 +266,110 @@ proptest! {
         prop_assert_eq!(&run.result.results[0], &direct, "cluster diverged on {}", line);
     }
 }
+
+/// A shard-sync halo must be packed at the model's `q`. A blob at a
+/// larger `q` carries spins outside the domain (here spin 2 into an
+/// Ising shard); the worker answers with a typed `error` frame instead
+/// of writing it into the shard's slab.
+#[test]
+fn worker_rejects_a_halo_packed_at_the_wrong_q() {
+    use lsl_core::proto::ServerFrame;
+    use std::io::{BufRead, BufReader, Write};
+    let server = Server::bind("127.0.0.1:0", 1).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut lines = BufReader::new(stream.try_clone().unwrap()).lines();
+    let mut next = || -> ServerFrame { lines.next().unwrap().unwrap().parse().unwrap() };
+    // path:4 in two contiguous shards: shard 0 owns {0, 1}, its halo is {2}.
+    let spec = "graph=path:4 model=ising:beta=0.4 backend=cluster:2 job=run:rounds=3";
+    writeln!(stream, "shard-init id=1 shard=0 of=2 spec={spec}").unwrap();
+    assert!(matches!(
+        next(),
+        ServerFrame::ShardSync {
+            id: 1,
+            round: 0,
+            ..
+        }
+    ));
+    let bad = StateBlob::pack(&[2], 3);
+    writeln!(stream, "shard-sync id=1 round=0 blob={bad}").unwrap();
+    match next() {
+        ServerFrame::Error {
+            id: Some(1),
+            message,
+        } => {
+            assert!(message.contains("q=3"), "{message}");
+        }
+        other => panic!("expected a typed error, got {other}"),
+    }
+}
+
+/// The coordinator side of the same check: a worker whose shard-sync
+/// frontier is packed at the wrong `q` is a protocol fault (the member
+/// is replayed elsewhere, here exhausting a one-worker fleet), never a
+/// coordinator panic.
+#[test]
+fn coordinator_rejects_a_frontier_packed_at_the_wrong_q() {
+    use lsl_core::codec::{decode_client, encode_server, write_frame, FrameBuffer};
+    use lsl_core::proto::{ClientFrame, ServerFrame};
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    // A fake worker: acks the binary handshake, answers pings, and
+    // opens every shard session with a frontier blob at q = 3.
+    fn serve(stream: std::net::TcpStream) {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut hello = String::new();
+        if reader.read_line(&mut hello).unwrap_or(0) == 0 {
+            return;
+        }
+        let mut out = stream;
+        writeln!(
+            out,
+            "{}",
+            ServerFrame::Hello {
+                codec: Codec::Binary
+            }
+        )
+        .unwrap();
+        let mut buf = FrameBuffer::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            while let Ok(Some(payload)) = buf.next_frame() {
+                let reply = match decode_client(&payload).unwrap() {
+                    ClientFrame::Ping { nonce } => ServerFrame::Pong { nonce },
+                    ClientFrame::ShardInit { id, .. } => ServerFrame::ShardSync {
+                        id,
+                        round: 0,
+                        blob: StateBlob::pack(&[2], 3),
+                    },
+                    _ => continue,
+                };
+                if write_frame(&mut out, &encode_server(&reply)).is_err() {
+                    return;
+                }
+            }
+            match reader.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend(&chunk[..n]),
+            }
+        }
+    }
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            std::thread::spawn(move || serve(stream));
+        }
+    });
+    let coord = Coordinator::connect([addr])
+        .unwrap()
+        .attempts(1)
+        .ping_timeout(Duration::from_secs(10));
+    let line = "graph=path:4 model=ising:beta=0.4 backend=cluster:2 job=run:rounds=3";
+    assert!(matches!(
+        coord.run_sweep(line),
+        Err(lsl_core::cluster::ClusterError::Exhausted { .. })
+    ));
+}

@@ -7,9 +7,12 @@
 
 use lsl_core::engine::{Backend, HotPath, Packing};
 use lsl_core::sampler::{Algorithm, Sched};
-use lsl_core::spec::{GraphSpec, JobKind, JobSpec, ModelSpec};
+use lsl_core::spec::{BuiltModel, GraphSpec, JobKind, JobSpec, ModelSpec};
 use lsl_graph::partition::Partitioner;
+use lsl_mrf::csp::Csp;
+use lsl_mrf::Spin;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 pub fn arb_graph() -> impl Strategy<Value = GraphSpec> {
     prop_oneof![
@@ -58,6 +61,28 @@ pub fn arb_model() -> impl Strategy<Value = ModelSpec> {
         Just(ModelSpec::DominatingSet),
         Just(ModelSpec::Mis),
     ]
+}
+
+/// A weighted CSP from the registry — dominating sets or MIS — with
+/// its canonical feasible start, built exactly as the spec layer builds
+/// it. The graph families have degree at most 5, so scopes stay small
+/// enough for LocalMetropolis's `2^k − 1` mixtures.
+pub fn arb_csp() -> impl Strategy<Value = (Arc<Csp>, Vec<Spin>)> {
+    let graph = prop_oneof![
+        (1usize..40).prop_map(|n| GraphSpec::Path { n }),
+        (3usize..40).prop_map(|n| GraphSpec::Cycle { n }),
+        (2usize..7, 2usize..7).prop_map(|(rows, cols)| GraphSpec::Grid { rows, cols }),
+        (3usize..7, 3usize..7).prop_map(|(rows, cols)| GraphSpec::Torus { rows, cols }),
+        (1u32..5).prop_map(|dim| GraphSpec::Hypercube { dim }),
+        (1usize..6, 1usize..4).prop_map(|(spine, legs)| GraphSpec::Caterpillar { spine, legs }),
+    ];
+    let model = prop_oneof![Just(ModelSpec::DominatingSet), Just(ModelSpec::Mis)];
+    (graph, model).prop_map(
+        |(graph, model)| match JobSpec::new(graph, model).build_model() {
+            BuiltModel::Csp { csp, start } => (csp, start),
+            BuiltModel::Mrf(_) => unreachable!("CSP scenarios build CSPs"),
+        },
+    )
 }
 
 pub fn arb_algorithm() -> impl Strategy<Value = Algorithm> {

@@ -131,23 +131,23 @@ const MRF: &[(&str, &str)] = &[
 const CSP: &[(&str, &str)] = &[
     (
         "graph=torus:8x8 model=dominating-set seed=4 job=run:rounds=60",
-        "run: rounds=60 n=64 feasible=true fingerprint=cd4e6f36c1cf4e05",
+        "run: rounds=60 n=64 feasible=true fingerprint=4636c35a8ed9c044",
     ),
     (
         "graph=torus:8x8 model=dominating-set scheduler=singleton seed=4 job=run:rounds=60",
-        "run: rounds=60 n=64 feasible=true fingerprint=7f38d29e24246b95",
+        "run: rounds=60 n=64 feasible=true fingerprint=5f3a4436a777dd44",
     ),
     (
         "graph=torus:8x8 model=dominating-set scheduler=bernoulli:0.3 seed=4 job=run:rounds=60",
-        "run: rounds=60 n=64 feasible=true fingerprint=501efc4e24e2abb4",
+        "run: rounds=60 n=64 feasible=true fingerprint=ef98b49b18734a94",
     ),
     (
         "graph=torus:8x8 model=dominating-set scheduler=chromatic seed=4 job=run:rounds=60",
-        "run: rounds=60 n=64 feasible=true fingerprint=598a3141ab8c0ad4",
+        "run: rounds=60 n=64 feasible=true fingerprint=d3521e075a9a36e4",
     ),
     (
         "graph=torus:8x8 model=dominating-set algorithm=local-metropolis seed=4 job=run:rounds=60",
-        "run: rounds=60 n=64 feasible=true fingerprint=a08983516e9ff974",
+        "run: rounds=60 n=64 feasible=true fingerprint=82e8b513c0180865",
     ),
     (
         "graph=cycle:9 model=mis seed=2",
@@ -171,7 +171,7 @@ const CSP: &[(&str, &str)] = &[
     ),
     (
         "graph=path:6 model=dominating-set job=run:rounds=60",
-        "run: rounds=60 n=6 feasible=true fingerprint=1e5c8b74601a6754",
+        "run: rounds=60 n=6 feasible=true fingerprint=185add259b3ad3e5",
     ),
 ];
 

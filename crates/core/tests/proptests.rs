@@ -2,18 +2,22 @@
 //! that must hold for every model, seed, and schedule. The chains are
 //! built through the sampler facade, the production path.
 
+mod common;
+
 use lsl_core::coupling::hamming;
+use lsl_core::csp_metropolis::CspMetropolisRule;
 use lsl_core::engine::replicas::ReplicaSet;
-use lsl_core::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule};
-use lsl_core::engine::{Backend, SyncChain, SyncRule};
+use lsl_core::engine::rules::{scheduled_mask, GlauberRule, LocalMetropolisRule, LubyGlauberRule};
+use lsl_core::engine::{Backend, RoundCtx, SyncChain, SyncRule};
 use lsl_core::kernel::{glauber_kernel, local_metropolis_kernel, luby_set_distribution};
 use lsl_core::sampler::{Algorithm, Sampler};
-use lsl_core::schedule::{LubyScheduler, Scheduler};
+use lsl_core::schedule::{LubyScheduler, VertexScheduler};
 use lsl_graph::generators;
-use lsl_local::rng::Xoshiro256pp;
+use lsl_mrf::csp::Csp;
 use lsl_mrf::gibbs::Enumeration;
-use lsl_mrf::models;
+use lsl_mrf::{models, Spin};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -62,11 +66,15 @@ proptest! {
 
     #[test]
     fn luby_scheduler_respects_independence(seed in 0u64..5000, rows in 3usize..5, cols in 3usize..5) {
+        // One engine round's Luby step: marks from the propose streams,
+        // then the selection predicate.
         let g = generators::torus(rows, cols);
-        let mut sched = LubyScheduler::new();
+        let model = models::uniform_independent_set(g.clone());
+        let sched = LubyScheduler::new();
+        let ctx = RoundCtx::new(&model, seed, 0);
+        let marks: Vec<f64> = g.vertices().map(|v| sched.mark(v, ctx.propose_rng(v).raw())).collect();
         let mut out = vec![false; g.num_vertices()];
-        let mut rng = Xoshiro256pp::seed_from(seed);
-        sched.sample(&g, &mut rng, &mut out);
+        scheduled_mask(&sched, &ctx, &marks, &mut out);
         prop_assert!(g.is_independent_set(&out));
         // Nonempty: the global maximum is always selected.
         prop_assert!(out.iter().any(|&b| b));
@@ -202,6 +210,67 @@ proptest! {
         b.run(30);
         for i in 0..count {
             prop_assert_eq!(a.state(i), b.state(i));
+        }
+    }
+}
+
+/// [`assert_backends_agree`] on a CSP from a feasible start, which every
+/// round must keep feasible.
+fn assert_csp_backends_agree<R: SyncRule<Csp> + Clone>(
+    csp: &Arc<Csp>,
+    start: &[Spin],
+    rule: R,
+    master: u64,
+    threads: usize,
+    rounds: usize,
+) {
+    let mut seq = SyncChain::with_model(Arc::clone(csp), rule.clone(), master, start.to_vec());
+    let mut par = SyncChain::with_model(Arc::clone(csp), rule, master, start.to_vec());
+    par.set_backend(Backend::Parallel { threads });
+    for r in 0..rounds {
+        seq.step();
+        par.step();
+        assert_eq!(
+            seq.state(),
+            par.state(),
+            "backends diverged at round {r} with {threads} threads"
+        );
+        assert!(
+            csp.is_feasible(seq.state()),
+            "left the solutions at round {r}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn csp_engine_backends_bit_identical(
+        instance in common::arb_csp(), master in 0u64..10_000, threads in 2usize..5
+    ) {
+        let (csp, start) = instance;
+        assert_csp_backends_agree(&csp, &start, CspMetropolisRule, master, threads, 12);
+        assert_csp_backends_agree(&csp, &start, LubyGlauberRule::luby(), master, threads, 12);
+    }
+
+    #[test]
+    fn csp_replica_sharding_is_pure_execution_strategy(
+        instance in common::arb_csp(), seed in 0u64..10_000, count in 2usize..7,
+        threads in 2usize..5
+    ) {
+        let (csp, start) = instance;
+        let starts: Vec<&[Spin]> = (0..count).map(|_| &start[..]).collect();
+        let build = || {
+            ReplicaSet::with_model(Arc::clone(&csp), LubyGlauberRule::luby(), &starts, seed, false)
+        };
+        let (mut a, mut b) = (build(), build());
+        b.set_backend(Backend::Parallel { threads });
+        a.run(20);
+        b.run(20);
+        for i in 0..count {
+            prop_assert_eq!(a.state(i), b.state(i));
+            prop_assert!(csp.is_feasible(a.state(i)));
         }
     }
 }

@@ -277,15 +277,27 @@ fn csp_restrictions_are_typed_errors() {
         .unwrap_err();
     assert!(matches!(err, BuildError::UnsupportedOnCsp { .. }));
 
-    // Neither is replica batching (engine rules only).
-    let err = Sampler::for_csp(&csp)
-        .start(vec![1; 4])
-        .replicas(2)
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, BuildError::UnsupportedOnCsp { .. }));
+    // Replica batches run the same engine rules: replica `b` is the
+    // single chain keyed by the replica's derived seed.
+    for alg in [Algorithm::LubyGlauber, Algorithm::LocalMetropolis] {
+        let builder = Sampler::for_csp(&csp)
+            .algorithm(alg)
+            .start(vec![1; 4])
+            .seed(6);
+        let mut batch = builder.clone().replicas(3).build().unwrap();
+        batch.run(25);
+        for b in 0..3 {
+            let mut single = builder
+                .clone()
+                .seed(lsl_core::engine::replicas::replica_seed(6, b as u64))
+                .build()
+                .unwrap();
+            single.run(25);
+            assert_eq!(batch.state(b), single.state(), "{alg:?} replica {b}");
+        }
+    }
 
-    // Neither are the batched measurement jobs.
+    // Grand couplings are not: they need adversarial MRF starts.
     let err = Sampler::for_csp(&csp)
         .start(vec![1; 4])
         .coalescence(2, 100)

@@ -4,6 +4,8 @@
 //! on torus, cycle, and G(n,p) instances — and the communication
 //! accounting obeys the cut bound.
 
+mod common;
+
 use lsl_core::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
 use lsl_core::engine::sharded::ShardedChain;
 use lsl_core::engine::{SyncChain, SyncRule};
@@ -261,4 +263,96 @@ fn one_shard_per_vertex_matches_sequential() {
     for rc in sharded.comm().per_round() {
         assert_eq!(rc.messages, 2 * m);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// CSP chains run on every backend: sequential, parallel, sharded:k
+    /// and in-process cluster:k trajectories are bit-identical, for both
+    /// CSP algorithms and LubyGlauber under every scheduler, and the
+    /// sharded runs account their boundary exchange.
+    #[test]
+    fn csp_chains_bit_identical_across_backends(
+        instance in common::arb_csp(), seed in 0u64..1_000, k in 2usize..5
+    ) {
+        let (csp, start) = instance;
+        for (alg, sched) in [
+            (Algorithm::LocalMetropolis, None),
+            (Algorithm::LubyGlauber, Some(Sched::Luby)),
+            (Algorithm::LubyGlauber, Some(Sched::Singleton)),
+            (Algorithm::LubyGlauber, Some(Sched::Bernoulli(0.3))),
+            (Algorithm::LubyGlauber, Some(Sched::Chromatic)),
+        ] {
+            let run = |backend| {
+                let mut b = Sampler::for_csp(std::sync::Arc::clone(&csp))
+                    .algorithm(alg)
+                    .backend(backend)
+                    .start(start.clone())
+                    .seed(seed);
+                if let Some(s) = sched {
+                    b = b.scheduler(s);
+                }
+                let mut s = b.build().unwrap();
+                s.run(15);
+                (s.state().to_vec(), s.comm_stats().map(|c| c.rounds_seen()))
+            };
+            let (seq, none) = run(Backend::Sequential);
+            prop_assert!(csp.is_feasible(&seq), "{:?} {:?} left the solutions", alg, sched);
+            prop_assert_eq!(none, None);
+            prop_assert_eq!(&run(Backend::Parallel { threads: k }).0, &seq);
+            for backend in [Backend::Sharded { shards: k }, Backend::Cluster { shards: k }] {
+                let (state, comm) = run(backend);
+                prop_assert_eq!(&state, &seq, "{:?} {:?} on {}", alg, sched, backend);
+                prop_assert_eq!(comm, Some(15));
+            }
+        }
+    }
+}
+
+/// The spec layer reaches the same CSP backends: `sharded:3` and
+/// in-process `cluster:2` lines report the sequential fingerprint plus
+/// a `CommSummary`, and a replica `sample` job runs.
+#[test]
+fn csp_spec_lines_run_on_every_backend() {
+    use lsl_core::spec::{JobOutput, JobSpec};
+    let run = |line: &str| line.parse::<JobSpec>().unwrap().run().unwrap().output;
+    for base in [
+        "graph=torus:8x8 model=dominating-set seed=4 job=run:rounds=60",
+        "graph=torus:8x8 model=dominating-set algorithm=local-metropolis seed=4 job=run:rounds=60",
+        "graph=cycle:9 model=mis seed=2",
+    ] {
+        let JobOutput::Run {
+            fingerprint,
+            comm: None,
+            ..
+        } = run(base)
+        else {
+            panic!("{base}: sequential runs carry no comm summary");
+        };
+        for backend in ["parallel:2", "sharded:3", "cluster:2"] {
+            let JobOutput::Run {
+                fingerprint: got,
+                comm,
+                feasible,
+                ..
+            } = run(&format!("{base} backend={backend}"))
+            else {
+                panic!("{base} backend={backend}: not a run");
+            };
+            assert!(feasible);
+            assert_eq!(got, fingerprint, "{base} backend={backend}");
+            assert_eq!(
+                comm.is_some(),
+                backend != "parallel:2",
+                "{base} backend={backend}"
+            );
+        }
+    }
+    let JobOutput::Sample { states, .. } =
+        run("graph=path:6 model=dominating-set job=sample:rounds=20,count=3")
+    else {
+        panic!("not a sample");
+    };
+    assert_eq!(states.len(), 3);
 }

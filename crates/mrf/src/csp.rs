@@ -9,10 +9,9 @@
 //! (strongly independent scheduling) is exposed via
 //! [`Csp::scope_hypergraph`].
 
-use crate::model::{sample_weighted, Spin};
+use crate::model::Spin;
 use lsl_graph::hypergraph::Hypergraph;
 use lsl_graph::{Graph, VertexId};
-use rand::Rng;
 use std::sync::Arc;
 
 /// A single weighted constraint: a factor `f_c : [q]^{|S_c|} → R≥0` with
@@ -80,16 +79,35 @@ impl Constraint {
 
     /// Evaluates the factor on a *global* configuration.
     pub fn evaluate(&self, q: usize, config: &[Spin]) -> f64 {
+        self.evaluate_at(q, |i| config[self.scope[i] as usize])
+    }
+
+    /// Evaluates the factor on the local assignment whose `i`-th scope
+    /// member has spin `spin_at(i)` — the allocation-free form every
+    /// other evaluation delegates to.
+    pub fn evaluate_at(&self, q: usize, spin_at: impl Fn(usize) -> Spin) -> f64 {
         let mut idx = 0usize;
-        for &v in self.scope.iter().rev() {
-            idx = idx * q + config[v as usize] as usize;
+        for i in (0..self.scope.len()).rev() {
+            idx = idx * q + spin_at(i) as usize;
         }
         self.table[idx]
+    }
+
+    /// The dense factor table: the entry of a local assignment `σ` is at
+    /// index `Σ_i σ_i · q^i` (`scope[0]` least significant).
+    pub fn table(&self) -> &[f64] {
+        &self.table
     }
 
     /// Largest factor value (normalizer for Metropolis-style filters).
     pub fn max_value(&self) -> f64 {
         self.table.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// Whether every entry is 0 or the maximum (a hard constraint).
+    pub fn is_hard(&self) -> bool {
+        let max = self.max_value();
+        self.table.iter().all(|&x| x == 0.0 || x == max)
     }
 
     /// Evaluates the factor on a *local* assignment aligned with the
@@ -100,11 +118,7 @@ impl Constraint {
     /// range.
     pub fn evaluate_local(&self, q: usize, local: &[Spin]) -> f64 {
         debug_assert_eq!(local.len(), self.scope.len());
-        let mut idx = 0usize;
-        for &s in local.iter().rev() {
-            idx = idx * q + s as usize;
-        }
-        self.table[idx]
+        self.evaluate_at(q, |i| local[i])
     }
 }
 
@@ -127,6 +141,8 @@ pub struct Csp {
     constraints: Vec<Constraint>,
     /// For each vertex, indices of constraints whose scope contains it.
     incident: Vec<Vec<u32>>,
+    /// The primal graph of the scopes: `u ~ v` iff they share a scope.
+    primal: Graph,
 }
 
 impl Csp {
@@ -143,11 +159,14 @@ impl Csp {
                 incident[v as usize].push(ci as u32);
             }
         }
+        let scopes = constraints.iter().map(|c| c.scope.clone()).collect();
+        let primal = Hypergraph::new(n, scopes).primal_graph();
         Csp {
             graph,
             q,
             constraints,
             incident,
+            primal,
         }
     }
 
@@ -227,60 +246,53 @@ impl Csp {
         self.weight(config) > 0.0
     }
 
+    /// Indices of the constraints whose scope contains `v`.
+    pub fn incident(&self, v: VertexId) -> &[u32] {
+        &self.incident[v.index()]
+    }
+
+    /// The primal graph of the scopes (`u ~ v` iff some constraint
+    /// contains both): the interaction graph of the local chains. Built
+    /// once, in [`Csp::new`].
+    pub fn primal_graph(&self) -> &Graph {
+        &self.primal
+    }
+
     /// Unnormalized conditional marginal of `v` given the rest of `config`:
     /// `weights[s] = Π_{c ∋ v} f_c(config with σ_v = s)`.
     pub fn marginal_weights(&self, v: VertexId, config: &[Spin]) -> Vec<f64> {
-        let mut scratch = MarginalScratch::new(self);
-        self.marginal_weights_into(v, config, &mut scratch);
-        scratch.weights
+        let mut weights = vec![0.0; self.q];
+        self.marginal_weights_with(v, |u| config[u.index()], &mut weights);
+        weights
     }
 
-    /// In-place variant of [`Csp::marginal_weights`] for hot loops: the
-    /// trial configuration and the weight vector both live in `scratch`.
-    pub fn marginal_weights_into(
+    /// [`Csp::marginal_weights`] over an arbitrary spin accessor (flat
+    /// slice, packed slab, sharded halo): reads only `v`'s primal
+    /// neighbours and allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != q`.
+    pub fn marginal_weights_with(
         &self,
         v: VertexId,
-        config: &[Spin],
-        scratch: &mut MarginalScratch,
+        spin_of: impl Fn(VertexId) -> Spin,
+        out: &mut [f64],
     ) {
-        scratch.config.clear();
-        scratch.config.extend_from_slice(config);
-        scratch.weights.resize(self.q, 0.0);
-        for (s, slot) in scratch.weights.iter_mut().enumerate() {
-            scratch.config[v.index()] = s as Spin;
+        assert_eq!(out.len(), self.q, "output buffer must have length q");
+        for (s, slot) in out.iter_mut().enumerate() {
             let mut w = 1.0;
             for &ci in &self.incident[v.index()] {
-                w *= self.constraints[ci as usize].evaluate(self.q, &scratch.config);
+                let c = &self.constraints[ci as usize];
+                w *= c.evaluate_at(self.q, |i| match c.scope[i] {
+                    u if u == v.0 => s as Spin,
+                    u => spin_of(VertexId(u)),
+                });
                 if w == 0.0 {
                     break;
                 }
             }
             *slot = w;
         }
-    }
-
-    /// Heat-bath resample of `σ_v` from the conditional marginal; `None` if
-    /// the marginal is ill-defined (all weights zero).
-    pub fn sample_marginal(
-        &self,
-        v: VertexId,
-        config: &[Spin],
-        rng: &mut impl Rng,
-    ) -> Option<Spin> {
-        let mut scratch = MarginalScratch::new(self);
-        self.sample_marginal_with(v, config, rng, &mut scratch)
-    }
-
-    /// Allocation-free variant of [`Csp::sample_marginal`] for hot loops.
-    pub fn sample_marginal_with(
-        &self,
-        v: VertexId,
-        config: &[Spin],
-        rng: &mut impl Rng,
-        scratch: &mut MarginalScratch,
-    ) -> Option<Spin> {
-        self.marginal_weights_into(v, config, scratch);
-        sample_weighted(&scratch.weights, rng)
     }
 
     /// The hypergraph of constraint scopes — LubyGlauber's strongly
@@ -322,30 +334,6 @@ impl Csp {
 impl From<&Csp> for Arc<Csp> {
     fn from(csp: &Csp) -> Self {
         Arc::new(csp.clone())
-    }
-}
-
-/// Reusable buffers for allocation-free CSP marginals: the trial
-/// configuration written per candidate spin and the resulting weights.
-#[derive(Clone, Debug)]
-pub struct MarginalScratch {
-    config: Vec<Spin>,
-    weights: Vec<f64>,
-}
-
-impl MarginalScratch {
-    /// Builds scratch sized for `csp`.
-    pub fn new(csp: &Csp) -> Self {
-        MarginalScratch {
-            config: Vec::with_capacity(csp.graph.num_vertices()),
-            weights: vec![0.0; csp.q],
-        }
-    }
-
-    /// The marginal weights of the most recent
-    /// [`Csp::marginal_weights_into`] call.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
     }
 }
 
