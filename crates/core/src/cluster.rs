@@ -964,7 +964,7 @@ fn drive_shard<R: SyncRule>(
         })
     };
     // The owner-computes invariant: halo proposals must be recomputable
-    // from state alone (same guard as `ShardedChain::with_state`).
+    // from state alone (same guard as `ShardedChain::with_model`).
     if R::HAS_PROPOSE && !R::STATE_FREE_PROPOSE {
         return fail(format!(
             "rule {} cannot recompute halo proposals shard-locally",

@@ -127,7 +127,6 @@ impl SyncRule<Csp> for CspMetropolisRule {
         v: VertexId,
         state: &Sv,
         locals: &[Spin],
-        _rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
         let csp = ctx.model();

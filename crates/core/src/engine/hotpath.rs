@@ -27,12 +27,11 @@
 //!   `Ã_e(a, b)` are tabled per edge *kind* at construction (the same
 //!   `get / max` division, done `q²` times instead of `3·2m` times per
 //!   round).
-//! * **selected-only resolve streams** — LubyGlauber's scheduler marks
-//!   an independent set; only its members draw from their resolve
-//!   streams, so the kernel constructs exactly those generators
-//!   (the scalar path constructs all `n`). The marked independent set
-//!   also makes every write conflict-free by construction, which is
-//!   what lets one strided pass write `next` directly.
+//! * **conflict-free strided resolve** — LubyGlauber's scheduler marks
+//!   an independent set; only its members build resolve streams (as in
+//!   the scalar rule), and the independence makes every write
+//!   conflict-free by construction, which is what lets one strided
+//!   pass write `next` directly.
 //!
 //! Every kernel is **bit-identical** to the scalar phases by
 //! construction, and property-tested to be (`tests/hotpath_identity.rs`). The
@@ -743,9 +742,7 @@ impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
         locals.copy_from_slice(&self.marks_wide);
 
         // Resolve: non-members keep their spin without touching their
-        // resolve stream (the scalar path builds one per vertex and
-        // discards it unread — at selection fraction ~1/(Δ+1), most of
-        // its resolve-phase randomness work).
+        // resolve stream.
         let Self {
             mrf,
             scheduler,

@@ -8,8 +8,8 @@
 //! * a [`SyncRule`] describes one chain round as two per-vertex phases
 //!   over CSR neighborhoods — **propose** (draw per-vertex randomness,
 //!   publish a `Local` value) and **resolve** (combine the old state, the
-//!   neighborhood's locals, and per-edge coins into the vertex's next
-//!   spin);
+//!   neighborhood's locals, and per-edge or per-constraint coins into
+//!   the vertex's next spin);
 //! * a [`Backend`] says how the sweep runs — four execution backends,
 //!   all bit-identical by the determinism contract:
 //!   [`Backend::Sequential`] (one vertex after another),
@@ -20,14 +20,18 @@
 //!   ([`replicas::ReplicaSet`], which advances a whole batch of chains
 //!   in one cache-friendly pass — the workhorse for TV estimation and
 //!   grand couplings);
-//! * [`SyncChain`] owns the buffers and advances one chain.
+//! * [`SyncChain`] owns the buffers and advances one chain;
+//! * a [`Model`] — an [`Mrf`] or a weighted local [`Csp`] — supplies
+//!   the interaction graph, `q` and the conditional marginals, so one
+//!   engine runs both model kinds.
 //!
 //! # The determinism contract
 //!
 //! Every random draw of round `r` is a pure function of
-//! `(master_seed, r, vertex-or-edge id)`, via the counter-style streams
-//! of [`lsl_local::rng::round_key`]: vertex streams for the two phases,
-//! one shared coin stream per edge, and one round-shared stream (used
+//! `(master_seed, r, vertex-edge-or-constraint id)`, via the
+//! counter-style streams of [`lsl_local::rng::round_key`]: vertex
+//! streams for the two phases, one shared coin per edge (per constraint
+//! on a CSP), and one round-shared stream (used
 //! e.g. for single-site vertex selection). No generator is ever shared
 //! between two vertices, two edges, or two rounds, so **execution order
 //! cannot affect the trajectory**: sequential and parallel sweeps are
@@ -314,15 +318,15 @@ pub trait SyncRule<M: Model = Mrf>: Send + Sync {
     ) -> Self::Local;
 
     /// Resolve phase at `v`: combine the old state, the locals of `v`'s
-    /// inclusive neighborhood, the edge coins of incident edges, and the
-    /// resolve stream into `v`'s next spin.
+    /// inclusive neighborhood, the shared coins of incident edges or
+    /// constraints, and the resolve stream ([`RoundCtx::resolve_rng`],
+    /// built only by rules that draw from it) into `v`'s next spin.
     fn resolve<Sv: StateView + ?Sized>(
         &self,
         ctx: &RoundCtx<M>,
         v: VertexId,
         state: &Sv,
         locals: &[Self::Local],
-        rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
     ) -> Spin;
 
@@ -530,9 +534,7 @@ fn resolve_phase<M: Model, R: SyncRule<M>>(
     workers: usize,
 ) {
     fill_indexed(workers, next, scratches, |i, slot, scratch| {
-        let v = VertexId(i as u32);
-        let mut rng = ctx.resolve_rng(v);
-        *slot = rule.resolve(ctx, v, state, locals, rng.raw(), scratch);
+        *slot = rule.resolve(ctx, VertexId(i as u32), state, locals, scratch);
     });
 }
 
@@ -550,9 +552,7 @@ fn run_round<M: Model, R: SyncRule<M>>(
     workers: usize,
 ) {
     if let Some(v) = rule.active_vertex(ctx) {
-        let mut rng = ctx.resolve_rng(v);
-        let spin = rule.resolve(ctx, v, state, locals, rng.raw(), &mut scratches[0]);
-        state[v.index()] = spin;
+        state[v.index()] = rule.resolve(ctx, v, state, locals, &mut scratches[0]);
         return;
     }
     if R::HAS_PROPOSE {

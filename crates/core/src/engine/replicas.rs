@@ -108,20 +108,7 @@ impl<R: SyncRule> ReplicaSet<R> {
         let mrf = mrf.into();
         let start = crate::single_site::default_start(&mrf);
         let starts: Vec<&[Spin]> = (0..count).map(|_| &start[..]).collect();
-        Self::independent_from(mrf, rule, &starts, seed)
-    }
-
-    /// `starts.len()` iid replicas from explicit starts.
-    ///
-    /// # Panics
-    /// Panics if `starts` is empty or any start has the wrong length.
-    pub fn independent_from(
-        mrf: impl Into<Arc<Mrf>>,
-        rule: R,
-        starts: &[&[Spin]],
-        seed: u64,
-    ) -> Self {
-        Self::with_model(mrf.into(), rule, starts, seed, false)
+        Self::with_model(mrf, rule, &starts, seed, false)
     }
 
     /// A grand coupling: one copy per start, all sharing the single
@@ -309,13 +296,11 @@ impl<M: Model, R: SyncRule<M>> ReplicaSet<R, M> {
                     let v = rule
                         .active_vertex(&ctx)
                         .expect("active_vertex must be rule-constant");
-                    let mut rng = ctx.resolve_rng(v);
                     // Single-site rules skip the propose phase, so the
                     // (default-valued) shared buffer stands in for locals
                     // — same as SyncChain's fast path, and safely
                     // indexable by any rule.
-                    state[v.index()] =
-                        rule.resolve(&ctx, v, state, shared_locals, rng.raw(), scratch);
+                    state[v.index()] = rule.resolve(&ctx, v, state, shared_locals, scratch);
                 }
             };
             if workers <= 1 {

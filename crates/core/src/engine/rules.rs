@@ -155,7 +155,6 @@ impl SyncRule for LocalMetropolisRule {
         v: VertexId,
         state: &Sv,
         locals: &[Spin],
-        _rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
         let mrf = ctx.model();
@@ -295,13 +294,12 @@ impl<S: VertexScheduler, M: Model> SyncRule<M> for LubyGlauberRule<S> {
         v: VertexId,
         state: &Sv,
         locals: &[S::Mark],
-        rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
     ) -> Spin {
         if !self.scheduler.selected(ctx, v, locals) {
             return state.spin(v.index());
         }
-        scratch.resample(ctx.model(), v, state, rng)
+        scratch.resample(ctx.model(), v, state, ctx.resolve_rng(v).raw())
     }
 
     fn hot_kernel(
@@ -383,10 +381,9 @@ impl SyncRule for GlauberRule {
         v: VertexId,
         state: &Sv,
         _locals: &[()],
-        rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
     ) -> Spin {
-        scratch.resample(ctx.model(), v, state, rng)
+        scratch.resample(ctx.model(), v, state, ctx.resolve_rng(v).raw())
     }
 }
 
@@ -430,10 +427,11 @@ impl SyncRule for MetropolisRule {
         v: VertexId,
         state: &Sv,
         _locals: &[()],
-        rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
         let mrf = ctx.model();
+        let mut rng = ctx.resolve_rng(v);
+        let rng = rng.raw();
         let proposal = mrf.vertex_activity(v).sample(rng);
         let mut accept_prob = 1.0;
         for (e, u) in mrf.graph().incident_edges(v) {

@@ -182,15 +182,7 @@ impl<M: Model, R: SyncRule<M>> ShardCore<M, R> {
             }
         }
         for (i, &v) in self.owned.iter().enumerate() {
-            let mut rng = ctx.resolve_rng(v);
-            self.next_owned[i] = rule.resolve(
-                ctx,
-                v,
-                &self.slab,
-                &self.locals,
-                rng.raw(),
-                &mut self.scratch,
-            );
+            self.next_owned[i] = rule.resolve(ctx, v, &self.slab, &self.locals, &mut self.scratch);
         }
     }
 
@@ -216,15 +208,7 @@ impl<M: Model, R: SyncRule<M>> ShardCore<M, R> {
     /// (default-valued) locals slab stands in, exactly as in the flat
     /// backends.
     pub(crate) fn resolve_single(&mut self, rule: &R, ctx: &RoundCtx<M>, v: VertexId) -> Spin {
-        let mut rng = ctx.resolve_rng(v);
-        let spin = rule.resolve(
-            ctx,
-            v,
-            &self.slab,
-            &self.locals,
-            rng.raw(),
-            &mut self.scratch,
-        );
+        let spin = rule.resolve(ctx, v, &self.slab, &self.locals, &mut self.scratch);
         self.slab.set(v.index(), spin);
         spin
     }
@@ -433,22 +417,7 @@ impl<R: SyncRule> ShardedChain<R> {
     pub fn new(mrf: impl Into<Arc<Mrf>>, rule: R, master: u64, partition: Partition) -> Self {
         let mrf = mrf.into();
         let start = crate::single_site::default_start(&mrf);
-        Self::with_state(mrf, rule, master, start, partition)
-    }
-
-    /// Builds the sharded chain from an explicit start.
-    ///
-    /// # Panics
-    /// As [`ShardedChain::new`], plus if the configuration has the
-    /// wrong length.
-    pub fn with_state(
-        mrf: impl Into<Arc<Mrf>>,
-        rule: R,
-        master: u64,
-        state: Vec<Spin>,
-        partition: Partition,
-    ) -> Self {
-        Self::with_model(mrf.into(), rule, master, state, partition)
+        Self::with_model(mrf, rule, master, start, partition)
     }
 }
 
@@ -457,7 +426,8 @@ impl<M: Model, R: SyncRule<M>> ShardedChain<R, M> {
     /// start (what the facade builds for every model).
     ///
     /// # Panics
-    /// As [`ShardedChain::with_state`].
+    /// As [`ShardedChain::new`], plus if the configuration has the
+    /// wrong length.
     pub fn with_model(
         model: Arc<M>,
         rule: R,

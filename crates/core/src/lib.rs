@@ -13,8 +13,10 @@
 //! * [`engine`] — the **step engine**: chain logic as per-vertex rules
 //!   over counter-style randomness streams, executed by swappable
 //!   backends (sequential, parallel, owner-computes sharded, batched
-//!   replicas) with bit-identical trajectories — see `DESIGN.md` for
-//!   the layering and the determinism contract;
+//!   replicas) with bit-identical trajectories, on any
+//!   [`engine::Model`] — an MRF or a weighted CSP; every chain in the
+//!   crate is such a rule — see `DESIGN.md` for the layering and the
+//!   determinism contract;
 //! * [`single_site`] — **systematic scan** and the chains' start
 //!   configurations (heat-bath **Glauber** and single-site **Metropolis**
 //!   run as engine rules);

@@ -169,7 +169,6 @@ impl SyncRule<Csp> for ProposalOnlyFilter {
         v: VertexId,
         state: &Sv,
         locals: &[Spin],
-        _rng: &mut Xoshiro256pp,
         _scratch: &mut (),
     ) -> Spin {
         let csp = ctx.model();

@@ -109,17 +109,6 @@ impl Constraint {
         let max = self.max_value();
         self.table.iter().all(|&x| x == 0.0 || x == max)
     }
-
-    /// Evaluates the factor on a *local* assignment aligned with the
-    /// scope order (`local[i]` is the spin of `scope()[i]`).
-    ///
-    /// # Panics
-    /// Panics if `local.len() != scope len` (debug) or a spin is out of
-    /// range.
-    pub fn evaluate_local(&self, q: usize, local: &[Spin]) -> f64 {
-        debug_assert_eq!(local.len(), self.scope.len());
-        self.evaluate_at(q, |i| local[i])
-    }
 }
 
 /// A weighted CSP over a network, with locality bookkeeping.
