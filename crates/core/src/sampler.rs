@@ -395,7 +395,7 @@ impl Target {
     fn num_vertices(&self) -> usize {
         match self {
             Target::Mrf(m) => m.num_vertices(),
-            Target::Csp(c) => Model::num_vertices(&**c),
+            Target::Csp(c) => c.graph().num_vertices(),
         }
     }
 
