@@ -597,7 +597,8 @@ impl Coordinator {
                 fronts[s] = recv_shard_sync(
                     client,
                     worker,
-                    (s as u64, r as u64),
+                    s as u64,
+                    r as u64,
                     plan.boundary_out[s].len(),
                     q,
                     deadline,
@@ -664,7 +665,8 @@ impl Coordinator {
             let spins = recv_shard_done(
                 client,
                 worker,
-                (s as u64, total as u64),
+                s as u64,
+                total as u64,
                 owned.len(),
                 q,
                 deadline,
@@ -772,7 +774,8 @@ enum DistFailure {
 fn recv_shard_sync(
     client: &mut Client,
     worker: &str,
-    (id, round): (u64, u64),
+    id: u64,
+    round: u64,
     expected_len: usize,
     q: usize,
     deadline: Instant,
@@ -818,7 +821,8 @@ fn recv_shard_sync(
 fn recv_shard_done(
     client: &mut Client,
     worker: &str,
-    (id, total_rounds): (u64, u64),
+    id: u64,
+    total_rounds: u64,
     expected_len: usize,
     q: usize,
     deadline: Instant,

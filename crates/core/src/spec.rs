@@ -813,7 +813,7 @@ pub enum JobKind {
         rounds: usize,
     },
     /// `distribution:rounds=N,replicas=B` — the empirical distribution
-    /// of `B` iid replicas after `N` rounds (MRF only).
+    /// of `B` iid replicas after `N` rounds.
     Distribution {
         /// Rounds per replica.
         rounds: usize,
@@ -839,9 +839,7 @@ pub enum JobKind {
     },
     /// `sample[:rounds=N,count=K]` — advance `K` iid replicas and
     /// return their final configurations as packed
-    /// [`StateBlob`]s (defaults
-    /// `rounds=100,count=1`; `count > 1` is MRF only, like every
-    /// replica job).
+    /// [`StateBlob`]s (defaults `rounds=100,count=1`).
     Sample {
         /// Rounds to advance after burn-in.
         rounds: usize,
@@ -1188,8 +1186,9 @@ impl JobSpec {
             JobKind::Sample { rounds, count } => {
                 let q = domain_size(model);
                 if count == 1 {
-                    // One replica rides the plain sampler path, so
-                    // single-sample jobs work on CSPs too.
+                    // One replica rides the plain sampler path under
+                    // the spec's own seed, so it ends exactly where the
+                    // `run` job of the same spec does.
                     let mut sampler = self
                         .sampler_builder(model)
                         .burn_in(self.burn_in.unwrap_or(0))
