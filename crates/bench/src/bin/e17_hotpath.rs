@@ -13,11 +13,14 @@
 //! * 256×256 torus Ising at β = 0.4 under LocalMetropolis — the
 //!   headline row (bit lanes, q = 2), targeting ≥ 3× the scalar
 //!   baseline's vertex-steps/sec;
-//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime.
+//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime,
+//!   under LocalMetropolis (threshold proposals, allow-byte edge pass)
+//!   and under LubyGlauber (`-lg`: the masked permutation heat bath).
 //!
 //! Every row is one [`JobSpec`] differing only in the `hotpath=` key,
-//! and every row's final-state fingerprint is asserted equal to the
-//! scalar row's — the sweep *witnesses* bit-identity while it measures
+//! timed over repeats and reported as the median (`secs`, which the
+//! rate and speedup columns use) with the min and max; every row's
+//! final-state fingerprint is asserted equal to the scalar row's — the sweep *witnesses* bit-identity while it measures
 //! (the fuller property-test matrix lives in
 //! `crates/core/tests/hotpath_identity.rs`).
 //!
@@ -39,29 +42,35 @@ struct Row {
     n: usize,
     rounds: usize,
     secs: f64,
+    secs_min: f64,
+    secs_max: f64,
     steps_vertices_per_sec: f64,
     speedup_vs_scalar: f64,
     fingerprint: u64,
 }
 
-/// Runs `spec` on the prebuilt model `repeats` times; returns the best
-/// wall clock and the (deterministic) final-state fingerprint.
-fn best_run(spec: &JobSpec, model: &BuiltModel, repeats: usize) -> (f64, u64) {
-    let mut best = f64::INFINITY;
+/// Runs `spec` on the prebuilt model `repeats` times; returns the
+/// median, min and max wall clock and the (deterministic) final-state
+/// fingerprint.
+fn timed_runs(spec: &JobSpec, model: &BuiltModel, repeats: usize) -> ([f64; 3], u64) {
+    let mut secs = Vec::with_capacity(repeats);
     let mut fp = 0;
     for _ in 0..repeats {
         let result = spec.run_on(model).expect("a valid E17 spec");
-        best = best.min(result.elapsed_secs);
+        secs.push(result.elapsed_secs);
         match result.output {
             JobOutput::Run { fingerprint, .. } => fp = fingerprint,
             other => panic!("expected a run output, got {other:?}"),
         }
     }
-    (best, fp)
+    secs.sort_by(f64::total_cmp);
+    ([secs[secs.len() / 2], secs[0], secs[secs.len() - 1]], fp)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn sweep(
     workload: &'static str,
+    algorithm: &str,
     model_spec: &str,
     side: usize,
     variants: &[HotPath],
@@ -70,7 +79,7 @@ fn sweep(
     rows: &mut Vec<Row>,
 ) {
     let base: JobSpec = format!(
-        "graph=torus:{side}x{side} model={model_spec} algorithm=local-metropolis \
+        "graph=torus:{side}x{side} model={model_spec} algorithm={algorithm} \
          seed=1 job=run:rounds={rounds}"
     )
     .parse()
@@ -86,7 +95,7 @@ fn sweep(
     {
         let mut spec = base.clone();
         spec.hotpath = Some(*hp);
-        let (secs, fp) = best_run(&spec, &model, repeats);
+        let ([secs, secs_min, secs_max], fp) = timed_runs(&spec, &model, repeats);
         let rate = rounds as f64 * n as f64 / secs;
         if i == 0 {
             scalar_rate = rate;
@@ -102,6 +111,8 @@ fn sweep(
             n,
             rounds,
             secs,
+            secs_min,
+            secs_max,
             steps_vertices_per_sec: rate,
             speedup_vs_scalar: rate / scalar_rate,
             fingerprint: fp,
@@ -112,11 +123,12 @@ fn sweep(
 fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny" || a == "tiny" || a == "quick")
         || std::env::var("LSL_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let (side, rounds, repeats) = if tiny { (48, 4, 1) } else { (256, 96, 4) };
+    let (side, rounds, repeats) = if tiny { (48, 4, 1) } else { (256, 96, 5) };
 
     // Scalar first (implicit), then every lane variant the model's q
     // admits: the full packing × RNG matrix on Ising (q = 2 supports
-    // bit lanes), the wide/byte column on q = 16 coloring.
+    // bit lanes), the wide/byte column on q = 16 coloring under both
+    // chains.
     let ising: Vec<HotPath> = ["wide", "byte", "bit"]
         .iter()
         .flat_map(|p| {
@@ -139,11 +151,14 @@ fn main() {
         "every row is bit-identical to the scalar oracle (fingerprints asserted);",
         "headline: lanes:bit:block on the torus Ising local-metropolis workload",
     ]);
-    header_row("workload,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
+    header_row(
+        "workload,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar,secs_min,secs_max",
+    );
 
     let mut rows: Vec<Row> = Vec::new();
     sweep(
         "torus-ising",
+        "local-metropolis",
         "ising:beta=0.4",
         side,
         &ising,
@@ -151,15 +166,21 @@ fn main() {
         repeats,
         &mut rows,
     );
-    sweep(
-        "torus-coloring-q16",
-        "coloring:q=16",
-        side,
-        &coloring,
-        rounds,
-        repeats,
-        &mut rows,
-    );
+    for (workload, algorithm) in [
+        ("torus-coloring-q16", "local-metropolis"),
+        ("torus-coloring-q16-lg", "luby-glauber"),
+    ] {
+        sweep(
+            workload,
+            algorithm,
+            "coloring:q=16",
+            side,
+            &coloring,
+            rounds,
+            repeats,
+            &mut rows,
+        );
+    }
 
     for r in &rows {
         row(&[
@@ -170,6 +191,8 @@ fn main() {
             format!("{:.4}", r.secs),
             format!("{:.3e}", r.steps_vertices_per_sec),
             format!("{:.2}", r.speedup_vs_scalar),
+            format!("{:.4}", r.secs_min),
+            format!("{:.4}", r.secs_max),
         ]);
     }
 
@@ -179,13 +202,16 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"workload\": \"{}\", \"hotpath\": \"{}\", \"n\": {}, \"rounds\": {}, \
-                 \"secs\": {:.6}, \"steps_vertices_per_sec\": {:.1}, \
+                 \"secs\": {:.6}, \"secs_min\": {:.6}, \"secs_max\": {:.6}, \
+                 \"steps_vertices_per_sec\": {:.1}, \
                  \"speedup_vs_scalar\": {:.3}, \"fingerprint\": \"{:016x}\"}}",
                 r.workload,
                 r.hotpath,
                 r.n,
                 r.rounds,
                 r.secs,
+                r.secs_min,
+                r.secs_max,
                 r.steps_vertices_per_sec,
                 r.speedup_vs_scalar,
                 r.fingerprint,
@@ -194,8 +220,8 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"LocalMetropolis torus Ising \
-         beta=0.4 + proper coloring q=16, hotpath sweep (scalar oracle vs packed lane \
-         kernels x block RNG)\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
+         beta=0.4 + proper coloring q=16 (LocalMetropolis and LubyGlauber), hotpath sweep \
+         (scalar oracle vs packed lane kernels x block RNG), median of {repeats} repeats\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
          [\n{}\n  ]\n}}\n",
         lsl_bench::meta_json(),
         json_rows.join(",\n")

@@ -27,6 +27,24 @@
 //!   `Ã_e(a, b)` are tabled per edge *kind* at construction (the same
 //!   `get / max` division, done `q²` times instead of `3·2m` times per
 //!   round).
+//! * **threshold proposals** (`ProposalTable`) — the proposal sampler
+//!   [`VertexActivity::sample`] maps its draw's 53-bit head `k` through
+//!   a subtraction ladder `fl(u·total)`, `fl(t − w_c)`, … whose every
+//!   rung is monotone in `k` (floating-point rounding is monotone), so
+//!   each rung goes negative on a prefix `k < T_c` of heads, and the
+//!   `T_c` rise with `c`. Tabled once per vertex kind, exactly (seeded
+//!   from the cumulative weights, then stepped to the boundary with the
+//!   ladder itself), they turn the per-vertex branchy ladder into one
+//!   branchless count `#{c : k ≥ T_c}`.
+//! * **allow bytes** — on hard-constraint models every normalized
+//!   factor is exactly 0 or 1, so a filter product is positive iff the
+//!   AND of three bytes of a `q²`-byte table per edge kind is.
+//! * **heat-bath masks** (`HeatBathMasks`) — when the LubyGlauber
+//!   heat bath is the permutation walk (`q ≤ 64`), it only asks which
+//!   marginal weights are positive: the AND of a vertex-kind mask and
+//!   one column mask per (edge kind, neighbour spin) per incident
+//!   edge. The walk itself is the [`Resampler`]'s, shared with the
+//!   weights path.
 //! * **conflict-free strided resolve** — LubyGlauber's scheduler marks
 //!   an independent set; only its members build resolve streams (as in
 //!   the scalar rule), and the independence makes every write
@@ -46,7 +64,7 @@ use lsl_graph::{EdgeId, VertexId};
 use lsl_local::rng::{
     fill_stream_heads, fill_stream_seeds, head_to_f64, Xoshiro256pp, VERTEX_STREAM_LABEL,
 };
-use lsl_mrf::{Mrf, Spin};
+use lsl_mrf::{EdgeActivity, Mrf, Spin, VertexActivity};
 use std::sync::Arc;
 
 /// Which implementation serves a chain's synchronous rounds.
@@ -221,6 +239,194 @@ impl rand::TryRng for OneShotRng {
     }
 }
 
+/// The largest `kinds · q²` whose proposals are tabled as thresholds.
+/// Building a kind's table evaluates `O(q)` ladder prefixes of length
+/// `O(q)`, and kernels are built per job, so the bound keeps the build
+/// to a millisecond or so: one kind up to `q = 512` (all of the byte
+/// lane regime), or a list coloring of `2¹⁸/q²` vertices (its palette
+/// has an entry per vertex). Past it the kernels run
+/// [`VertexActivity::sample`] itself.
+const THRESHOLD_BUDGET: usize = 1 << 18;
+
+/// Exact integer thresholds of [`VertexActivity::sample`], per
+/// vertex-palette entry.
+///
+/// The sampler maps its draw's 53-bit head `k` (the draw is
+/// `u = k·2⁻⁵³`) through the ladder `t₋₁ = fl(u·total)`,
+/// `t_c = fl(t_{c−1} − w_c)` and returns the first `c` with `t_c < 0`,
+/// else the last spin of positive weight. Every rung is monotone
+/// non-decreasing in `k` (rounding is monotone, and so are `x·total`
+/// and `x − w`), so `{k : t_c(k) < 0}` is a prefix `[0, T_c)`; and
+/// `t_{c+1} ≤ t_c` (weights are non-negative), so `T_0 ≤ T_1 ≤ …`. The
+/// proposal is therefore `#{c : k ≥ T_c}` — one branchless count —
+/// with the slack fallback when the count reaches `q`.
+struct ProposalTable {
+    q: usize,
+    /// `q` thresholds per kind; `2⁵³` marks a rung negative at every head.
+    thr: Vec<u64>,
+    /// `rposition(w > 0)` per kind: the sampler's slack fallback.
+    fallback: Vec<Spin>,
+}
+
+/// One past the largest 53-bit head.
+const HEAD_END: u64 = 1 << 53;
+
+impl ProposalTable {
+    /// Tables every entry of `palette`, or `None` past
+    /// [`THRESHOLD_BUDGET`].
+    fn new(palette: &[VertexActivity]) -> Option<Self> {
+        let q = palette.first()?.q();
+        if palette.len() * q * q > THRESHOLD_BUDGET {
+            return None;
+        }
+        let mut thr = Vec::with_capacity(palette.len() * q);
+        let mut fallback = Vec::with_capacity(palette.len());
+        for act in palette {
+            let w: Vec<f64> = (0..q as Spin).map(|c| act.get(c)).collect();
+            let total = act.total();
+            // The ladder's rung `c` at head `k`, in the sampler's exact
+            // float-op order.
+            let rung = |k: u64, c: usize| {
+                let mut t = (k as f64 * (1.0 / HEAD_END as f64)) * total;
+                for &wc in &w[..=c] {
+                    t -= wc;
+                }
+                t
+            };
+            let (mut cum, mut prev) = (0.0, 0);
+            for c in 0..q {
+                // Seed from the cumulative weight (off by a few ulps of
+                // rounding), then step to the exact boundary.
+                cum += w[c];
+                let guess = ((cum / total) * HEAD_END as f64) as u64;
+                prev = first_false(|k| rung(k, c) < 0.0, guess.max(prev));
+                thr.push(prev);
+            }
+            fallback.push(w.iter().rposition(|&x| x > 0.0).unwrap_or(0) as Spin);
+        }
+        Some(ProposalTable { q, thr, fallback })
+    }
+
+    /// Kind `kind`'s thresholds and fallback.
+    #[inline]
+    fn kind(&self, kind: usize) -> (&[u64], Spin) {
+        (&self.thr[kind * self.q..][..self.q], self.fallback[kind])
+    }
+}
+
+/// [`VertexActivity::sample`] on the stream whose first draw is
+/// `head`, from one kind's thresholds.
+#[inline(always)]
+fn sample_at(thr: &[u64], fallback: Spin, head: u64) -> Spin {
+    let k = head >> 11;
+    let n = thr.iter().fold(0, |n, &t| n + Spin::from(k >= t));
+    if n as usize == thr.len() {
+        fallback
+    } else {
+        n
+    }
+}
+
+/// The first `k` in `[0, 2⁵³)` where the monotone (true, then false)
+/// predicate `pred` fails, or `2⁵³` if it never does: gallops out from
+/// `guess` until `[lo, hi]` brackets the boundary, then bisects — a
+/// few evaluations when the guess is close.
+fn first_false(pred: impl Fn(u64) -> bool, guess: u64) -> u64 {
+    let (mut lo, mut hi) = (guess.min(HEAD_END), guess.min(HEAD_END));
+    let mut step = 1;
+    while lo > 0 && !pred(lo - 1) {
+        lo = lo.saturating_sub(step);
+        step *= 2;
+    }
+    step = 1;
+    while hi < HEAD_END && pred(hi) {
+        hi = (hi + step).min(HEAD_END);
+        step *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Availability masks of the permutation-scheme heat bath (`q ≤ 64`):
+/// spin `c` has positive marginal weight at `v` iff bit `c` survives
+/// ANDing `v`'s vertex mask with one column mask per incident edge.
+struct HeatBathMasks {
+    q: usize,
+    /// Per vertex kind: bit `c` iff `b(c) > 0`.
+    vertex: Vec<u64>,
+    /// Per `(edge kind, neighbour spin x)`, at `kind·q + x`: bit `c` iff
+    /// `A(c, x) > 0`.
+    column: Vec<u64>,
+}
+
+impl HeatBathMasks {
+    /// The masks of `mrf`, when its heat bath is a permutation walk over
+    /// the positive weights and the masks decide exactly which weights
+    /// [`Mrf::marginal_weights_with`] leaves positive. Under the
+    /// permutation scheme every positive factor is its activity's
+    /// maximum; multiplying in the smallest of those maxima a max-degree
+    /// number of times bounds every product from below (rounding is
+    /// monotone), so if that chain stays positive no product underflows
+    /// and a weight is positive iff no factor is zero. (An overflow to
+    /// `∞` stays positive, and `∞·0 = NaN` is not `> 0`, like the mask.)
+    fn new(mrf: &Mrf, resampler: &Resampler) -> Option<Self> {
+        let q = mrf.q();
+        if !resampler.uses_permutation_scheme() || q > 64 {
+            return None;
+        }
+        let positive = |x: f64| x > 0.0;
+        let b_min = mrf
+            .vertex_palette()
+            .iter()
+            .flat_map(|b| (0..q as Spin).map(move |c| b.get(c)))
+            .filter(|&x| positive(x))
+            .fold(f64::INFINITY, f64::min);
+        let a_min = mrf
+            .edge_palette()
+            .iter()
+            .map(EdgeActivity::max_entry)
+            .fold(f64::INFINITY, f64::min);
+        let mut chain = b_min;
+        for _ in 0..mrf.graph().max_degree() {
+            chain *= a_min;
+        }
+        if !positive(chain) {
+            return None;
+        }
+        let bits = |pos: &dyn Fn(Spin) -> bool| {
+            (0..q as Spin).fold(0u64, |m, c| m | u64::from(pos(c)) << c)
+        };
+        let vertex = mrf
+            .vertex_palette()
+            .iter()
+            .map(|b| bits(&|c| positive(b.get(c))))
+            .collect();
+        let column = mrf
+            .edge_palette()
+            .iter()
+            .flat_map(|a| (0..q as Spin).map(move |x| bits(&|c| positive(a.get(c, x)))))
+            .collect();
+        Some(HeatBathMasks { q, vertex, column })
+    }
+
+    /// The available set at `v` given its neighbours' spins.
+    #[inline]
+    fn available(&self, mrf: &Mrf, v: VertexId, spin_of: impl Fn(usize) -> Spin) -> u64 {
+        let mut m = self.vertex[mrf.vertex_kind_of(v) as usize];
+        for (e, u) in mrf.graph().incident_edges(v) {
+            m &= self.column[mrf.edge_kind_of(e) as usize * self.q + spin_of(u.index()) as usize];
+        }
+        m
+    }
+}
+
 /// Monomorphic packed lanes — the kernels' private storage. Same
 /// layouts as [`StateSlab`](super::StateSlab), but resolved at compile
 /// time so the gather loops stay branch-free.
@@ -228,7 +434,6 @@ trait LaneBuf: Send + 'static {
     fn with_len(len: usize) -> Self;
     fn load(&mut self, wide: &[Spin]);
     fn get(&self, i: usize) -> Spin;
-    fn set(&mut self, i: usize, s: Spin);
     /// The raw one-bit-per-index words, when this packing has them —
     /// unlocks the word-interleaved `q = 2` edge pass.
     fn as_bits(&self) -> Option<&[u64]> {
@@ -249,11 +454,6 @@ impl LaneBuf for Vec<Spin> {
     fn get(&self, i: usize) -> Spin {
         self[i]
     }
-
-    #[inline]
-    fn set(&mut self, i: usize, s: Spin) {
-        self[i] = s;
-    }
 }
 
 impl LaneBuf for Vec<u8> {
@@ -271,12 +471,6 @@ impl LaneBuf for Vec<u8> {
     #[inline]
     fn get(&self, i: usize) -> Spin {
         self[i] as Spin
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, s: Spin) {
-        debug_assert!(s < 256);
-        self[i] = s as u8;
     }
 }
 
@@ -303,14 +497,6 @@ impl LaneBuf for BitLanes {
     #[inline]
     fn get(&self, i: usize) -> Spin {
         ((self.words[i >> 6] >> (i & 63)) & 1) as Spin
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, s: Spin) {
-        debug_assert!(s < 2);
-        let w = &mut self.words[i >> 6];
-        let shift = i & 63;
-        *w = (*w & !(1u64 << shift)) | (u64::from(s) << shift);
     }
 
     fn as_bits(&self) -> Option<&[u64]> {
@@ -353,14 +539,17 @@ struct LmKernel<L: LaneBuf> {
     /// usual generator output) — lets the edge pass skip the per-edge
     /// `etbl` load.
     kind0: Option<u32>,
-    /// `q == 2` with one vertex kind: `(total, w0, w1, fallback)` of
-    /// the single activity, for the vectorized proposal pass (exact
-    /// float-op order of [`lsl_mrf::VertexActivity::sample`]).
-    fast2: Option<(f64, f64, f64, Spin)>,
+    /// Proposal thresholds per vertex kind (`None` past
+    /// [`THRESHOLD_BUDGET`]: the proposal pass then runs the sampler).
+    props: Option<ProposalTable>,
     /// Per-edge-kind normalized activities, `q²` entries each: the same
     /// `get / max` values [`lsl_mrf::EdgeActivity::normalized`]
     /// computes, divided once at construction.
     tables: Vec<f64>,
+    /// Hard models only (else empty): `tables` as bytes, `1` iff the
+    /// factor is positive. Every hard factor is exactly 0 or 1, so a
+    /// filter product is positive iff the AND of its factors' bytes is.
+    allow: Vec<u8>,
     /// `q == 2` only (else empty): the filter *products* per edge kind,
     /// 16 entries indexed by the state nibble
     /// `sp(u)·8 + sp(v)·4 + sx(u)·2 + sx(v)`, multiplied at
@@ -422,12 +611,6 @@ impl<L: LaneBuf> LmKernel<L> {
         }
         let kind0 =
             (etbl.windows(2).all(|w| w[0] == w[1])).then(|| etbl.first().copied().unwrap_or(0));
-        let fast2 = (q == 2 && mrf.vertex_palette().len() == 1).then(|| {
-            let act = &mrf.vertex_palette()[0];
-            // `rposition(w > 0)` of the scalar sampler's slack fallback.
-            let fallback = if act.get(1) > 0.0 { 1 } else { 0 };
-            (act.total(), act.get(0), act.get(1), fallback)
-        });
         let (mut products, mut products2, mut thr2) = (Vec::new(), Vec::new(), Vec::new());
         if q == 2 {
             products.reserve(mrf.edge_palette().len() * 16);
@@ -451,6 +634,11 @@ impl<L: LaneBuf> LmKernel<L> {
             }
         }
         let hard = mrf.all_hard_constraints();
+        let allow = if hard {
+            tables.iter().map(|&p| u8::from(p > 0.0)).collect()
+        } else {
+            Vec::new()
+        };
         LmKernel {
             rule3,
             block_rng,
@@ -459,8 +647,9 @@ impl<L: LaneBuf> LmKernel<L> {
             euv,
             etbl,
             kind0,
-            fast2,
+            props: ProposalTable::new(mrf.vertex_palette()),
             tables,
+            allow,
             products,
             products2,
             thr2,
@@ -479,7 +668,6 @@ impl<L: LaneBuf> LmKernel<L> {
 
 impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
     fn round(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin], locals: &mut [Spin]) {
-        let n = state.len();
         self.sx.load(state);
 
         // Propose: one block of stream heads serves every vertex's
@@ -489,39 +677,41 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         if self.proposals_key != Some(ctx.propose_master) {
             if self.block_rng {
                 fill_stream_heads(ctx.propose_master, VERTEX_STREAM_LABEL, &mut self.heads);
-                if let Some((total, w0, w1, fallback)) = self.fast2 {
-                    // The scalar sampler's exact subtraction ladder for
-                    // the single two-entry activity, as a vectorizable
-                    // pass (then one pack pass into the proposal lanes).
-                    for (slot, &head) in self.proposals_wide.iter_mut().zip(&self.heads) {
-                        let t0 = head_to_f64(head) * total - w0;
-                        let t1 = t0 - w1;
-                        *slot = if t0 < 0.0 {
-                            0
-                        } else if t1 < 0.0 {
-                            1
-                        } else {
-                            fallback
-                        };
+                if let Some(props) = &self.props {
+                    // One branchless threshold count per vertex (then
+                    // one pack pass into the proposal lanes).
+                    if let [_] = props.fallback[..] {
+                        let (thr, fallback) = props.kind(0);
+                        for (slot, &head) in self.proposals_wide.iter_mut().zip(&self.heads) {
+                            *slot = sample_at(thr, fallback, head);
+                        }
+                    } else {
+                        for (v, slot) in self.proposals_wide.iter_mut().enumerate() {
+                            let kind = self.mrf.vertex_kind_of(VertexId(v as u32)) as usize;
+                            let (thr, fallback) = props.kind(kind);
+                            *slot = sample_at(thr, fallback, self.heads[v]);
+                        }
                     }
-                    self.sp.load(&self.proposals_wide);
                 } else {
-                    for v in 0..n {
+                    for (v, slot) in self.proposals_wide.iter_mut().enumerate() {
                         let act = self.mrf.vertex_activity(VertexId(v as u32));
-                        let s = act.sample(&mut OneShotRng(self.heads[v]));
-                        self.proposals_wide[v] = s;
-                        self.sp.set(v, s);
+                        *slot = act.sample(&mut OneShotRng(self.heads[v]));
                     }
                 }
             } else {
-                for v in 0..n {
-                    let mut rng = ctx.propose_rng(VertexId(v as u32));
-                    let act = self.mrf.vertex_activity(VertexId(v as u32));
-                    let s = act.sample(rng.raw());
-                    self.proposals_wide[v] = s;
-                    self.sp.set(v, s);
+                for (v, slot) in self.proposals_wide.iter_mut().enumerate() {
+                    let vid = VertexId(v as u32);
+                    let mut rng = ctx.propose_rng(vid);
+                    *slot = match &self.props {
+                        Some(props) => {
+                            let (thr, fallback) = props.kind(self.mrf.vertex_kind_of(vid) as usize);
+                            sample_at(thr, fallback, rng.raw().next())
+                        }
+                        None => self.mrf.vertex_activity(vid).sample(rng.raw()),
+                    };
                 }
             }
+            self.sp.load(&self.proposals_wide);
             // Coins: one evaluation per edge (the scalar path pays one
             // per endpoint). Skipped entirely for hard-constraint
             // models, whose coins are all deterministic.
@@ -551,6 +741,7 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
             etbl,
             kind0,
             tables,
+            allow,
             products,
             products2,
             thr2,
@@ -640,6 +831,19 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                     ));
                 }
             }
+            _ if hard => {
+                // Hard models: the AND of the factors' allow bytes (the
+                // rule-3 ablation repeats the first factor in place of
+                // the third).
+                let base = |e: usize| kind0.unwrap_or_else(|| etbl[e]) as usize;
+                edge_pass!(|e: usize, u: usize, v: usize| {
+                    let al = &allow[base(e)..][..qq];
+                    let (su, sv) = (sp.get(u) as usize, sp.get(v) as usize);
+                    let (xu, xv) = (sx.get(u) as usize, sx.get(v) as usize);
+                    let x3 = if rule3 { xv } else { sv };
+                    al[su * q + sv] & al[xu * q + sv] & al[su * q + x3]
+                });
+            }
             _ => {
                 edge_pass!(|e: usize, u: usize, v: usize| {
                     let tbl = &tables[etbl[e] as usize..][..qq];
@@ -656,13 +860,14 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
 
         // Combine: a vertex keeps its proposal iff every incident edge
         // accepted (vacuously for isolated vertices, as in the scalar
-        // rule).
-        for (v, slot) in next.iter_mut().enumerate() {
-            *slot = if self.ok[v] != 0 {
-                self.proposals_wide[v]
-            } else {
-                state[v]
-            };
+        // rule) — a mask select, no branch.
+        for ((slot, (&prop, &old)), &ok) in next
+            .iter_mut()
+            .zip(self.proposals_wide.iter().zip(state))
+            .zip(&self.ok)
+        {
+            let keep = Spin::from(ok).wrapping_neg();
+            *slot = prop & keep | old & !keep;
         }
     }
 }
@@ -695,6 +900,9 @@ struct LgKernel<S: VertexScheduler, L: LaneBuf> {
     seeds: Vec<u64>,
     weights: Vec<f64>,
     resampler: Resampler,
+    /// The availability masks, when the heat bath is a permutation walk
+    /// they decide exactly (then `weights` goes unused).
+    masks: Option<HeatBathMasks>,
     /// Wide mark buffer, keyed like the LM proposal block so coupled
     /// replicas mark once per round.
     marks_wide: Vec<S::Mark>,
@@ -704,13 +912,15 @@ struct LgKernel<S: VertexScheduler, L: LaneBuf> {
 impl<S: VertexScheduler, L: LaneBuf> LgKernel<S, L> {
     fn new(mrf: Arc<Mrf>, scheduler: S, block_rng: bool) -> Self {
         let n = mrf.num_vertices();
+        let resampler = Resampler::new(&*mrf);
         LgKernel {
             scheduler,
             block_rng,
             sx: L::with_len(n),
             seeds: vec![0; if block_rng { n } else { 0 }],
             weights: vec![0.0; mrf.q()],
-            resampler: Resampler::new(&*mrf),
+            masks: HeatBathMasks::new(&mrf, &resampler),
+            resampler,
             marks_wide: vec![S::Mark::default(); n],
             marks_key: None,
             mrf,
@@ -742,26 +952,36 @@ impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
         locals.copy_from_slice(&self.marks_wide);
 
         // Resolve: non-members keep their spin without touching their
-        // resolve stream.
+        // resolve stream. Members walk the resampler's permutation over
+        // their available set — from the masks when they apply, else
+        // from the marginal weights.
         let Self {
             mrf,
             scheduler,
             sx,
             weights,
             resampler,
+            masks,
             ..
         } = self;
         for (v, slot) in next.iter_mut().enumerate() {
             let vid = VertexId(v as u32);
-            if scheduler.selected(ctx, vid, locals) {
+            *slot = if scheduler.selected(ctx, vid, locals) {
                 let mut rng = ctx.resolve_rng(vid);
-                mrf.marginal_weights_with(vid, |u| sx.get(u.index()), weights);
-                *slot = resampler
-                    .resample(weights, rng.raw())
-                    .unwrap_or_else(|| sx.get(v));
+                match masks {
+                    Some(masks) => {
+                        let available = masks.available(mrf, vid, |u| sx.get(u));
+                        resampler.resample_available(available, rng.raw())
+                    }
+                    None => {
+                        mrf.marginal_weights_with(vid, |u| sx.get(u.index()), weights);
+                        resampler.resample(weights, rng.raw())
+                    }
+                }
+                .unwrap_or_else(|| sx.get(v))
             } else {
-                *slot = sx.get(v);
-            }
+                sx.get(v)
+            };
         }
     }
 }
@@ -853,6 +1073,88 @@ mod tests {
         let mut full =
             Xoshiro256pp::seed_from(lsl_local::rng::derive_seed(7, VERTEX_STREAM_LABEL, 3));
         assert_eq!(one.random::<f64>(), full.uniform_f64());
+    }
+
+    /// Vertex activities that stress the ladder: totals that are not
+    /// powers of two, zero entries, and list-coloring indicators.
+    fn ladder_activities() -> Vec<VertexActivity> {
+        let mut rng = Xoshiro256pp::seed_from(17);
+        let mut acts = vec![
+            VertexActivity::uniform(3),
+            VertexActivity::uniform(5),
+            VertexActivity::uniform(12),
+            VertexActivity::new(vec![0.3, 0.0, 1.7, 0.0, 0.1]).unwrap(),
+            VertexActivity::new(vec![0.0, 0.0, 2.5]).unwrap(),
+            VertexActivity::new(vec![1e-300, 1.0, 1e-300]).unwrap(),
+            VertexActivity::list_indicator(12, &[1, 4, 11]),
+            VertexActivity::list_indicator(16, &[0]),
+            VertexActivity::list_indicator(16, &[15]),
+            VertexActivity::hardcore(1.3),
+        ];
+        for q in [3, 5, 12, 16] {
+            let w = (0..q)
+                .map(|c| {
+                    if c % 4 == 3 {
+                        0.0
+                    } else {
+                        rng.uniform_f64() * 3.0 + 1e-3
+                    }
+                })
+                .collect();
+            acts.push(VertexActivity::new(w).unwrap());
+        }
+        acts
+    }
+
+    #[test]
+    fn threshold_table_is_the_ladder() {
+        let mut rng = Xoshiro256pp::seed_from(99);
+        for (kind, act) in ladder_activities().iter().enumerate() {
+            let table = ProposalTable::new(std::slice::from_ref(act)).unwrap();
+            let (thr, fallback) = table.kind(0);
+            assert!(thr.windows(2).all(|w| w[0] <= w[1]), "kind {kind}");
+            // The low 11 bits never reach the draw: vary them anyway.
+            let check = |k: u64, low: u64| {
+                let head = k << 11 | low & 0x7FF;
+                assert_eq!(
+                    sample_at(thr, fallback, head),
+                    act.sample(&mut OneShotRng(head)),
+                    "kind {kind}, k = {k}"
+                );
+            };
+            check(0, 0);
+            check(HEAD_END - 1, u64::MAX);
+            for &t in thr {
+                if t < HEAD_END {
+                    check(t, rng.next());
+                }
+                if t > 0 {
+                    check(t - 1, rng.next());
+                }
+            }
+            for _ in 0..10_000 {
+                let head = rng.next();
+                check(head >> 11, head);
+            }
+        }
+    }
+
+    #[test]
+    fn heat_bath_masks_decline_underflowing_products() {
+        use lsl_graph::generators;
+        use lsl_mrf::models;
+        let coloring = models::proper_coloring(generators::torus(3, 3), 5);
+        assert!(HeatBathMasks::new(&coloring, &Resampler::new(&coloring)).is_some());
+        // Hard, uniform marginals, but `1e-200⁴` underflows: a weight
+        // can vanish with no zero factor, so the masks must not decide.
+        let tiny = EdgeActivity::new(2, vec![0.0, 1e-200, 1e-200, 0.0]).unwrap();
+        let mrf = Mrf::homogeneous(generators::torus(3, 3), tiny, VertexActivity::uniform(2));
+        let resampler = Resampler::new(&mrf);
+        assert!(resampler.uses_permutation_scheme());
+        assert!(HeatBathMasks::new(&mrf, &resampler).is_none());
+        // Soft models keep the weights path.
+        let potts = models::potts(generators::cycle(5), 4, 0.5);
+        assert!(HeatBathMasks::new(&potts, &Resampler::new(&potts)).is_none());
     }
 
     #[test]

@@ -53,26 +53,37 @@ impl Resampler {
     /// all weights vanish.
     pub fn resample(&mut self, weights: &[f64], rng: &mut Xoshiro256pp) -> Option<Spin> {
         let sub_seed = rng.next();
-        let mut sub = Xoshiro256pp::seed_from(sub_seed);
         if self.uniform_marginals {
-            // Fisher–Yates with the shared subgenerator; the first
-            // available spin in the permutation is uniform over the
-            // available set.
-            let q = self.perm.len();
-            for (i, slot) in self.perm.iter_mut().enumerate() {
-                *slot = i as u32;
-            }
-            for i in (1..q).rev() {
-                let j = (sub.next() % (i as u64 + 1)) as usize;
-                self.perm.swap(i, j);
-            }
-            self.perm
-                .iter()
-                .copied()
-                .find(|&c| weights[c as usize] > 0.0)
+            self.first_available(sub_seed, |c| weights[c as usize] > 0.0)
         } else {
-            lsl_mrf::model::sample_weighted(weights, &mut sub)
+            lsl_mrf::model::sample_weighted(weights, &mut Xoshiro256pp::seed_from(sub_seed))
         }
+    }
+
+    /// The permutation-scheme resample over an availability bit set
+    /// (bit `c` set iff spin `c` has positive marginal weight): the
+    /// same spin [`Resampler::resample`] returns for weights with that
+    /// support, from the same single draw of `rng`. Only for models
+    /// that use the permutation scheme, with `q ≤ 64`.
+    pub(crate) fn resample_available(&mut self, available: u64, rng: &mut Xoshiro256pp) -> Option<Spin> {
+        debug_assert!(self.uniform_marginals && self.perm.len() <= 64);
+        self.first_available(rng.next(), |c| available >> c & 1 != 0)
+    }
+
+    /// The permutation walk: Fisher–Yates with the subgenerator seeded
+    /// by `sub_seed`; the first available spin in the permutation is
+    /// uniform over the available set.
+    fn first_available(&mut self, sub_seed: u64, available: impl Fn(Spin) -> bool) -> Option<Spin> {
+        let mut sub = Xoshiro256pp::seed_from(sub_seed);
+        let q = self.perm.len();
+        for (i, slot) in self.perm.iter_mut().enumerate() {
+            *slot = i as u32;
+        }
+        for i in (1..q).rev() {
+            let j = (sub.next() % (i as u64 + 1)) as usize;
+            self.perm.swap(i, j);
+        }
+        self.perm.iter().copied().find(|&c| available(c))
     }
 }
 
@@ -186,6 +197,24 @@ mod tests {
             let mut rng_a = Xoshiro256pp::seed_from(seed);
             let mut rng_b = Xoshiro256pp::seed_from(seed);
             assert_eq!(rs_a.resample(&w, &mut rng_a), rs_b.resample(&w, &mut rng_b));
+        }
+    }
+
+    #[test]
+    fn available_set_walk_matches_weights_walk() {
+        let mrf = models::list_coloring(generators::path(2), 12, &[vec![0, 5, 7], vec![11]]);
+        let mut rs = Resampler::new(&mrf);
+        let mut masks = Xoshiro256pp::seed_from(4);
+        for seed in 0..500 {
+            let available = masks.next() & 0xFFF;
+            let w: Vec<f64> = (0..12).map(|c| (available >> c & 1) as f64).collect();
+            let mut rng_a = Xoshiro256pp::seed_from(seed);
+            let mut rng_b = Xoshiro256pp::seed_from(seed);
+            assert_eq!(
+                rs.resample(&w, &mut rng_a),
+                rs.resample_available(available, &mut rng_b)
+            );
+            assert_eq!(rng_a.next(), rng_b.next());
         }
     }
 

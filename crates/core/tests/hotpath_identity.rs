@@ -7,7 +7,11 @@
 //! across algorithms (LocalMetropolis with and without rule 3,
 //! LubyGlauber under two schedulers), hard and soft constraints (edge
 //! coins deterministic vs fractional), and graph families (torus,
-//! cycle, G(n, p)).
+//! cycle, G(n, p)); and on `q > 2`, the threshold proposals, the
+//! allow-byte edge pass and the masked heat bath against the model
+//! shapes that stress them (several vertex kinds, irregular degrees,
+//! the rule-3 ablation) and the shapes that must keep the f64 arms
+//! (soft Potts, `q` past the 64-spin masks).
 
 use lsl_core::engine::rules::{LocalMetropolisRule, LubyGlauberRule};
 use lsl_core::engine::{HotPath, Packing, SyncChain, SyncRule};
@@ -106,6 +110,66 @@ proptest! {
         master in 0u64..10_000, rows in 3usize..6, cols in 3usize..6
     ) {
         let mrf = models::proper_coloring(generators::torus(rows, cols), 9);
+        assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn list_coloring_lanes_match_scalar(
+        master in 0u64..10_000, rows in 3usize..6, cols in 3usize..6, seed in 0u64..500
+    ) {
+        // Several vertex kinds: one threshold row and one vertex mask
+        // per list, with single-color lists among them.
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let g = generators::torus(rows, cols);
+        let lists: Vec<Vec<u32>> = (0..g.num_vertices())
+            .map(|_| {
+                let size = rng.random_range(1..=6usize);
+                let mut list: Vec<u32> = (0..12).collect();
+                for i in 0..size {
+                    let j = rng.random_range(i..12);
+                    list.swap(i, j);
+                }
+                list.truncate(size);
+                list
+            })
+            .collect();
+        let mrf = models::list_coloring(g, 12, &lists);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
+        assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn q16_coloring_lanes_match_scalar_on_gnp(
+        master in 0u64..10_000, seed in 0u64..500, p in 0.02f64..0.3
+    ) {
+        // Irregular degrees and (at small p) isolated vertices, whose
+        // proposals are accepted vacuously.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mrf = models::proper_coloring(generators::gnp(30, p, &mut rng), 16);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::without_rule3(), master);
+        assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn soft_potts_lanes_match_scalar(
+        master in 0u64..10_000, q in 3usize..9, beta in 0.2f64..3.0, len in 4usize..16
+    ) {
+        // Soft q > 2: fractional coins on the f64 edge pass, and the
+        // weights heat bath (no permutation scheme).
+        let mrf = models::potts(generators::cycle(len), q, beta);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
+        assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn q70_coloring_lanes_match_scalar(master in 0u64..10_000, rows in 3usize..5) {
+        // Byte lanes, but past the 64-spin masks: LubyGlauber takes the
+        // weights path of the permutation scheme.
+        let mrf = models::proper_coloring(generators::torus(rows, 4), 70);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
         assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
     }
 
