@@ -65,7 +65,11 @@ impl Resampler {
     /// same spin [`Resampler::resample`] returns for weights with that
     /// support, from the same single draw of `rng`. Only for models
     /// that use the permutation scheme, with `q ≤ 64`.
-    pub(crate) fn resample_available(&mut self, available: u64, rng: &mut Xoshiro256pp) -> Option<Spin> {
+    pub(crate) fn resample_available(
+        &mut self,
+        available: u64,
+        rng: &mut Xoshiro256pp,
+    ) -> Option<Spin> {
         debug_assert!(self.uniform_marginals && self.perm.len() <= 64);
         self.first_available(rng.next(), |c| available >> c & 1 != 0)
     }

@@ -219,27 +219,28 @@ pub fn head_to_f64(head: u64) -> f64 {
     (head >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The instruction-set clones a [`simd_fill!`] fill dispatches between.
+/// The instruction-set clones a [`simd_dispatch!`](crate::simd_dispatch) call chooses
+/// between (the block fills here, the lane kernels' count passes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FillArm {
+pub enum SimdArm {
     /// The plain loop, on every host.
     Portable,
     /// The loop compiled with AVX2 enabled.
     Avx2,
     /// The loop compiled with AVX-512 F/DQ/VL enabled (native 64-bit
-    /// multiplies).
+    /// multiplies and compares).
     Avx512,
 }
 
-impl FillArm {
+impl SimdArm {
     /// Whether this host can run the arm.
-    fn supported(self) -> bool {
+    pub fn supported(self) -> bool {
         match self {
-            FillArm::Portable => true,
+            SimdArm::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            FillArm::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            SimdArm::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
-            FillArm::Avx512 => {
+            SimdArm::Avx512 => {
                 std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512dq")
                     && std::arch::is_x86_feature_detected!("avx512vl")
@@ -249,33 +250,70 @@ impl FillArm {
         }
     }
 
-    /// The widest arm the host supports — the one the fills run.
-    fn widest() -> FillArm {
-        [FillArm::Avx512, FillArm::Avx2]
+    /// The widest arm the host supports.
+    pub fn widest() -> SimdArm {
+        [SimdArm::Avx512, SimdArm::Avx2]
             .into_iter()
             .find(|arm| arm.supported())
-            .unwrap_or(FillArm::Portable)
+            .unwrap_or(SimdArm::Portable)
     }
 }
 
-/// Declares a fill `$name` over the widest [`FillArm`] the host
-/// supports, and `$on`, the same fill on a chosen arm. The arm bodies
-/// are identical — the `#[target_feature]` clones just let LLVM
-/// vectorize the (branchless, independent-per-index) loop with wider
-/// registers and native 64-bit multiplies (`vpmullq` needs AVX-512DQ).
-/// On non-x86-64 hosts only the portable loop exists.
+/// Calls `$body($args)` compiled for the instruction set of `$arm` (a
+/// [`SimdArm`]). `$body` is an `#[inline(always)]` function returning
+/// `()`, typically a branchless loop: the `#[target_feature]` clones
+/// only let LLVM vectorize it with wider registers, so every arm
+/// computes the same values. On non-x86-64 hosts only the portable
+/// arm exists.
+///
+/// # Panics
+/// Panics if the host cannot run `$arm`.
+#[macro_export]
+macro_rules! simd_dispatch {
+    ($arm:expr, $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {{
+        let arm: $crate::rng::SimdArm = $arm;
+        assert!(arm.supported(), "SIMD arm {arm:?} is not supported on this host");
+        match arm {
+            $crate::rng::SimdArm::Portable => $body($($arg),*),
+            #[cfg(target_arch = "x86_64")]
+            $crate::rng::SimdArm::Avx2 => {
+                #[target_feature(enable = "avx2")]
+                unsafe fn wide256($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                // SAFETY: AVX2 support was asserted above.
+                unsafe { wide256($($arg),*) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            $crate::rng::SimdArm::Avx512 => {
+                #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+                unsafe fn wide512($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                // SAFETY: AVX-512 F/DQ/VL support was asserted above.
+                unsafe { wide512($($arg),*) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("only the portable arm is supported off x86-64"),
+        }
+    }};
+}
+
+/// Declares a fill `$name` over the widest [`SimdArm`] the host
+/// supports, and `$on`, the same fill on a chosen arm, through
+/// [`simd_dispatch!`](crate::simd_dispatch) (`vpmullq` needs AVX-512DQ).
 macro_rules! simd_fill {
     ($(#[$doc:meta])* $name:ident, $on:ident, $elem:ty, $fast:expr, $exact:expr) => {
         $(#[$doc])*
         pub fn $name(master: u64, label: u64, out: &mut [$elem]) {
-            $on(FillArm::widest(), master, label, out);
+            $on(SimdArm::widest(), master, label, out);
         }
 
         /// The fill on one dispatch arm.
         ///
         /// # Panics
         /// Panics if the host cannot run `arm`.
-        fn $on(arm: FillArm, master: u64, label: u64, out: &mut [$elem]) {
+        fn $on(arm: SimdArm, master: u64, label: u64, out: &mut [$elem]) {
             #[inline(always)]
             fn portable(master: u64, label: u64, out: &mut [$elem]) {
                 // `fn(master, label, index) -> (elem, flag)`, pure; a
@@ -299,30 +337,7 @@ macro_rules! simd_fill {
                     }
                 }
             }
-            assert!(arm.supported(), "fill arm {arm:?} is not supported on this host");
-            match arm {
-                FillArm::Portable => portable(master, label, out),
-                #[cfg(target_arch = "x86_64")]
-                FillArm::Avx2 => {
-                    #[target_feature(enable = "avx2")]
-                    unsafe fn wide256(master: u64, label: u64, out: &mut [$elem]) {
-                        portable(master, label, out);
-                    }
-                    // SAFETY: AVX2 support was asserted above.
-                    unsafe { wide256(master, label, out) }
-                }
-                #[cfg(target_arch = "x86_64")]
-                FillArm::Avx512 => {
-                    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-                    unsafe fn wide512(master: u64, label: u64, out: &mut [$elem]) {
-                        portable(master, label, out);
-                    }
-                    // SAFETY: AVX-512 F/DQ/VL support was asserted above.
-                    unsafe { wide512(master, label, out) }
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                _ => unreachable!("only the portable arm is supported off x86-64"),
-            }
+            $crate::simd_dispatch!(arm, portable(master: u64, label: u64, out: &mut [$elem]))
         }
     };
 }
@@ -562,7 +577,7 @@ mod tests {
     #[test]
     fn every_supported_fill_arm_matches_the_per_index_streams() {
         // Lengths 0, 1, odd, and well past one vector block.
-        for arm in [FillArm::Portable, FillArm::Avx2, FillArm::Avx512] {
+        for arm in [SimdArm::Portable, SimdArm::Avx2, SimdArm::Avx512] {
             if !arm.supported() {
                 eprintln!("skipped: fill arm {arm:?} is not supported on this host");
                 continue;
