@@ -67,23 +67,20 @@ fn timed_runs(spec: &JobSpec, model: &BuiltModel, repeats: usize) -> ([f64; 3], 
     ([secs[secs.len() / 2], secs[0], secs[secs.len() - 1]], fp)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Times the scalar oracle, then each of `variants`, on `chain` (the
+/// `model=` and `algorithm=` keys) over a `side`×`side` torus.
 fn sweep(
     workload: &'static str,
-    algorithm: &str,
-    model_spec: &str,
+    chain: &str,
     side: usize,
     variants: &[HotPath],
     rounds: usize,
     repeats: usize,
     rows: &mut Vec<Row>,
 ) {
-    let base: JobSpec = format!(
-        "graph=torus:{side}x{side} model={model_spec} algorithm={algorithm} \
-         seed=1 job=run:rounds={rounds}"
-    )
-    .parse()
-    .expect("a valid E17 base spec");
+    let base: JobSpec = format!("graph=torus:{side}x{side} {chain} seed=1 job=run:rounds={rounds}")
+        .parse()
+        .expect("a valid E17 base spec");
     let model = base.build_model();
     let n = side * side;
 
@@ -158,8 +155,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     sweep(
         "torus-ising",
-        "local-metropolis",
-        "ising:beta=0.4",
+        "model=ising:beta=0.4 algorithm=local-metropolis",
         side,
         &ising,
         rounds,
@@ -172,8 +168,7 @@ fn main() {
     ] {
         sweep(
             workload,
-            algorithm,
-            "coloring:q=16",
+            &format!("model=coloring:q=16 algorithm={algorithm}"),
             side,
             &coloring,
             rounds,

@@ -283,27 +283,27 @@ impl ProposalTable {
         let mut thr = Vec::with_capacity(palette.len() * q);
         let mut fallback = Vec::with_capacity(palette.len());
         for act in palette {
-            let w: Vec<f64> = (0..q as Spin).map(|c| act.get(c)).collect();
             let total = act.total();
             // The ladder's rung `c` at head `k`, in the sampler's exact
             // float-op order.
-            let rung = |k: u64, c: usize| {
+            let rung = |k: u64, c: Spin| {
                 let mut t = (k as f64 * (1.0 / HEAD_END as f64)) * total;
-                for &wc in &w[..=c] {
-                    t -= wc;
+                for i in 0..=c {
+                    t -= act.get(i);
                 }
                 t
             };
             let (mut cum, mut prev) = (0.0, 0);
-            for c in 0..q {
+            for c in 0..q as Spin {
                 // Seed from the cumulative weight (off by a few ulps of
                 // rounding), then step to the exact boundary.
-                cum += w[c];
+                cum += act.get(c);
                 let guess = ((cum / total) * HEAD_END as f64) as u64;
                 prev = first_false(|k| rung(k, c) < 0.0, guess.max(prev));
                 thr.push(prev);
             }
-            fallback.push(w.iter().rposition(|&x| x > 0.0).unwrap_or(0) as Spin);
+            let positive = (0..q as Spin).rev().find(|&c| act.get(c) > 0.0);
+            fallback.push(positive.expect("a vertex activity has a positive entry"));
         }
         Some(ProposalTable { q, thr, fallback })
     }
